@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,11 +42,13 @@ def refill_tokens(t: TokenBudget) -> TokenBudget:
     return TokenBudget(t.initial, t.initial)
 
 
+@functools.lru_cache(maxsize=128)
 def digest_for(version: VersionNumber) -> str:
     """Checksum of the (nominal) software image for a version.
 
     Only equality is ever tested, so the image is stood in for by its
-    version tag.
+    version tag.  A run sees a handful of versions, so each md5 is
+    computed once and the (immutable) string reused.
     """
     return hashlib.md5(b"software-image:%d" % version).hexdigest()
 

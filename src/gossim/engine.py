@@ -1,13 +1,13 @@
 """Deterministic discrete-event loop driving one simulation run.
 
 Same (scenario, seed) means byte-identical results: one logical thread,
-FIFO tie-breaking at equal timestamps, and named random substreams so
-that one subsystem's draws never perturb another's.
+a calendar queue of integer-ms buckets, FIFO per ms (events at equal
+timestamps run in the order they were scheduled), and named random
+substreams so that one subsystem's draws never perturb another's.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from .metrics import RunRecord
 from .protocols import SendBeacon, SendSoftware, UpdateLocal, on_beacon, on_software
 from .radio import SpatialGrid, delivery_probability
 
-# event kinds, processed in (time, seq) order
+# event kinds; events run in time order, FIFO within one ms
 _INJECT = 0
 _BEACON = 1  # periodic beacon, handled at its delivery tick
 _TX_BEACON = 2  # pull beacon emitted by a protocol action
@@ -37,6 +37,11 @@ class EngineParams:
     corruption_probability: float = 0.0
 
     def __post_init__(self):
+        # the calendar queue has one bucket per integer ms
+        for name in ("beacon_period", "delivery_latency", "duration", "injection_time"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int number of ms, got {value!r}")
         if self.beacon_period <= 0:
             raise ValueError("beacon_period must be positive")
         if self.delivery_latency < 0:
@@ -128,37 +133,46 @@ class Simulation:
         self.beacon_rx_sum = 0
         self.actions: list[tuple] = []
 
-        self.heap: list[tuple] = []
-        self.seq = 0
+        # calendar queue: ms -> events (kind, node, payload) in push order
+        self.queue: dict[int, list[tuple]] = {}
+        self.seq = 0  # events scheduled
 
     # -- scheduling ---------------------------------------------------
 
     def _push(self, at: int, kind: int, a: int, b) -> None:
         if at > self.ep.duration:
             return
-        heapq.heappush(self.heap, (at, self.seq, kind, a, b))
+        bucket = self.queue.get(at)
+        if bucket is None:
+            self.queue[at] = [(kind, a, b)]
+        else:
+            bucket.append((kind, a, b))
         self.seq += 1
 
     # -- radio --------------------------------------------------------
 
-    def _receivers(self, sender: int, t: int) -> list[int]:
-        if self.trace is not None:
-            return self.trace.partners(sender, t)
+    def _radio_receivers(self, sender: int, t: int) -> list[int]:
+        """Sampled receivers of a geometric transmission at time t."""
+        motions = self.motions
         if t > self.grid_valid_until:
-            self.grid.rebuild(
-                (i, *m.position_at(t)) for i, m in enumerate(self.motions)
-            )
+            self.grid.rebuild([(i, *m.position_at(t)) for i, m in enumerate(motions)])
             self.grid_valid_until = t + GRID_EPOCH_MS
-        sx, sy = self.motions[sender].position_at(t)
+        sx, sy = motions[sender].position_at(t)
+        candidates = self.grid.candidates(sx, sy)
+        if len(candidates) == 1 and candidates[0] == sender:
+            return []  # most beacons on sparse layouts: nobody to hear
+        candidates.sort()
         out = []
-        rng = self.rng_radio
+        draw = self.rng_radio.random
         radio = self.radio
-        for node in sorted(self.grid.candidates(sx, sy)):
+        prob_at = delivery_probability
+        hypot = math.hypot
+        for node in candidates:
             if node == sender:
                 continue
-            x, y = self.motions[node].position_at(t)
-            prob = delivery_probability(math.hypot(x - sx, y - sy), radio)
-            if prob >= 1.0 or (prob > 0.0 and rng.random() < prob):
+            x, y = motions[node].position_at(t)
+            prob = prob_at(hypot(x - sx, y - sy), radio)
+            if prob >= 1.0 or (prob > 0.0 and draw() < prob):
                 out.append(node)
         return out
 
@@ -182,7 +196,6 @@ class Simulation:
                 self.actions.append((t, node, act))
 
     def _deliver_beacon(self, receiver: int, version, t: int) -> None:
-        self.beacon_receptions += 1
         state, acts = on_beacon(self.states[receiver], self.cfg, version)
         if acts:
             self._apply(receiver, t, state, acts)
@@ -203,45 +216,72 @@ class Simulation:
     def run(self) -> RunRecord:
         ep = self.ep
         cfg = self.cfg
-        latency = ep.delivery_latency
+        duration = ep.duration
+        period = ep.beacon_period
         self._push(ep.injection_time, _INJECT, 0, None)
         for node, phase in enumerate(self.phases):
-            self._push(phase + latency, _BEACON, node, None)
+            self._push(phase + ep.delivery_latency, _BEACON, node, None)
 
-        heap = self.heap
-        while heap:
-            at, _, kind, node, payload = heapq.heappop(heap)
-            if kind == _BEACON:
-                # fired at (at - latency); sampled at the delivery tick
-                self.beacon_sends[node] = self.beacon_sends.get(node, 0) + 1
-                receivers = self._receivers(node, at)
-                self.beacon_tx_count += 1
-                self.beacon_rx_sum += len(receivers)
-                version = self.states[node].version if cfg.piggyback else None
-                for rcv in receivers:
-                    self._deliver_beacon(rcv, version, at)
-                self._push(at + ep.beacon_period, _BEACON, node, None)
-            elif kind == _TX_SOFTWARE:
-                for rcv in self._receivers(node, at):
-                    self._deliver_software(rcv, payload, at)
-            elif kind == _TX_BEACON:
-                receivers = self._receivers(node, at)
-                self.beacon_tx_count += 1
-                self.beacon_rx_sum += len(receivers)
-                for rcv in receivers:
-                    self._deliver_beacon(rcv, payload, at)
-            else:  # _INJECT
-                target = self.rng_inject.randrange(self.n)
-                state = self.states[target]
-                tokens = state.tokens
-                if cfg.token_control:
-                    tokens = TokenBudget(cfg.initial_tokens, cfg.initial_tokens)
-                state.version = ep.injected_version
-                state.tokens = tokens
-                self.update_events.append((at, target, ep.injected_version))
-                if self.record_actions:
-                    self.actions.append((at, target, UpdateLocal(ep.injected_version)))
+        queue = self.queue
+        states = self.states
+        beacon_sends = self.beacon_sends
+        receivers_of = self._radio_receivers if self.trace is None else self.trace.partners
+        deliver_beacon = self._deliver_beacon
+        deliver_software = self._deliver_software
+        piggyback = cfg.piggyback
+        tx = rx = 0  # beacon transmissions, beacon receptions
+        for now in range(duration + 1):
+            bucket = queue.get(now)
+            if bucket is None:
+                continue
+            # the list iterator goes by index, so events that a zero
+            # delivery latency appends to this ms run after those before them
+            for kind, node, payload in bucket:
+                if kind == _BEACON:
+                    # fired at (now - latency); sampled at the delivery tick
+                    beacon_sends[node] = beacon_sends.get(node, 0) + 1
+                    receivers = receivers_of(node, now)
+                    tx += 1
+                    if receivers:
+                        rx += len(receivers)
+                        version = states[node].version if piggyback else None
+                        for rcv in receivers:
+                            deliver_beacon(rcv, version, now)
+                    at = now + period
+                    if at <= duration:  # _push, inlined
+                        nxt = queue.get(at)
+                        if nxt is None:
+                            queue[at] = [(_BEACON, node, None)]
+                        else:
+                            nxt.append((_BEACON, node, None))
+                        self.seq += 1
+                elif kind == _TX_SOFTWARE:
+                    for rcv in receivers_of(node, now):
+                        deliver_software(rcv, payload, now)
+                elif kind == _TX_BEACON:
+                    receivers = receivers_of(node, now)
+                    tx += 1
+                    rx += len(receivers)
+                    for rcv in receivers:
+                        deliver_beacon(rcv, payload, now)
+                else:  # _INJECT
+                    target = self.rng_inject.randrange(self.n)
+                    state = states[target]
+                    tokens = state.tokens
+                    if cfg.token_control:
+                        tokens = TokenBudget(cfg.initial_tokens, cfg.initial_tokens)
+                    state.version = ep.injected_version
+                    state.tokens = tokens
+                    self.update_events.append((now, target, ep.injected_version))
+                    if self.record_actions:
+                        self.actions.append((now, target, UpdateLocal(ep.injected_version)))
+            del queue[now]
+            if not queue:
+                break  # only running events schedule new ones
 
+        self.beacon_tx_count = tx
+        # every receiver of a beacon transmission is one beacon reception
+        self.beacon_receptions = self.beacon_rx_sum = rx
         return self._record()
 
     def _record(self) -> RunRecord:

@@ -89,6 +89,7 @@ class NodeMotion:
         "area", "params", "rng",
         "seg_start", "seg_end", "paused",
         "ox", "oy", "vx", "vy", "last_t",
+        "x_lo", "x_span", "y_lo", "y_span",
     )
 
     def __init__(
@@ -102,6 +103,9 @@ class NodeMotion:
         if not area.contains(*position):
             raise ValueError("initial position outside area")
         self.area = area
+        # _fold's bounds, kept for the inlined fold in position_at
+        self.x_lo, self.x_span = area.x_min, area.x_max - area.x_min
+        self.y_lo, self.y_span = area.y_min, area.y_max - area.y_min
         self.params = params
         self.rng = rng
         self.ox, self.oy = position
@@ -113,19 +117,21 @@ class NodeMotion:
         self._next_segment(leg=True)
 
     def _next_segment(self, leg: bool) -> None:
-        rng = self.rng
+        # rng.uniform(a, b) is a + (b - a) * rng.random(); written out
+        # (with a = 0.0 dropped, which is exact) it draws the same values
+        rnd = self.rng.random
         p = self.params
         self.seg_start = self.seg_end
         if leg:
-            angle = rng.uniform(0.0, TWO_PI)
-            duration = rng.uniform(p.leg_duration_min, p.leg_duration_max)
-            speed = rng.uniform(p.speed_min, p.speed_max)
+            angle = TWO_PI * rnd()
+            duration = p.leg_duration_min + (p.leg_duration_max - p.leg_duration_min) * rnd()
+            speed = p.speed_min + (p.speed_max - p.speed_min) * rnd()
             # speed is m/s, timestamps are ms
             self.vx = math.cos(angle) * speed / 1000.0
             self.vy = math.sin(angle) * speed / 1000.0
             self.paused = False
         else:
-            duration = rng.uniform(0.0, p.pause_max)
+            duration = p.pause_max * rnd()
             self.vx = self.vy = 0.0
             self.paused = True
         self.seg_end = self.seg_start + duration
@@ -147,7 +153,18 @@ class NodeMotion:
         while t >= self.seg_end:
             self.ox, self.oy = self._position_in_segment(self.seg_end)
             self._next_segment(leg=self.paused)
-        return self._position_in_segment(t)
+        if self.paused:
+            return self.ox, self.oy
+        # _position_in_segment with _fold inlined: the same float expressions
+        dt = t - self.seg_start
+        lo = self.x_lo
+        span = self.x_span
+        u = (self.ox + self.vx * dt - lo) % (2.0 * span)
+        x = lo + u if u <= span else lo + 2.0 * span - u
+        lo = self.y_lo
+        span = self.y_span
+        u = (self.oy + self.vy * dt - lo) % (2.0 * span)
+        return x, (lo + u if u <= span else lo + 2.0 * span - u)
 
 
 def advance(state: NodeState, now: float) -> NodeState:
@@ -193,11 +210,12 @@ class ContactTrace:
 
     def partners(self, node: NodeId, t: float) -> list[NodeId]:
         """Nodes in contact with `node` at time t (half-open intervals)."""
-        out = {
-            iv.b if iv.a == node else iv.a
-            for iv in self._by_node.get(node, ())
-            if iv.t_start <= t < iv.t_end
-        }
+        out = set()
+        for iv in self._by_node.get(node, ()):
+            if iv.t_start > t:
+                break  # each node's intervals are sorted by start
+            if t < iv.t_end:
+                out.add(iv.b if iv.a == node else iv.a)
         return sorted(out)
 
 

@@ -63,6 +63,16 @@ def sample_receivers(
     return received
 
 
+# A cell (cx, cy) is keyed by the one int cx * _STRIDE + cy, so its 3x3
+# neighbourhood is the key plus nine fixed offsets.  Keys are linear in
+# (cx, cy), so a neighbour's node is always found under key + offset.
+# Two cells share a key only when their cy differ by a multiple of _STRIDE
+# (fields over 2**20 cells tall); the shared bucket then adds far
+# candidates, which the distance test drops, and never loses a near one.
+_STRIDE = 1 << 20
+_NEIGHBOURS = tuple(i * _STRIDE + j for i in (-1, 0, 1) for j in (-1, 0, 1))
+
+
 class SpatialGrid:
     """Uniform hash grid over node positions.
 
@@ -75,14 +85,14 @@ class SpatialGrid:
 
     def __init__(self, cell_size: float):
         self.cell = cell_size
-        self.cells: dict[tuple[int, int], list[NodeId]] = {}
+        self.cells: dict[int, list[NodeId]] = {}
 
     def rebuild(self, positions):
         """positions: iterable of (node, x, y)."""
-        cells: dict[tuple[int, int], list[NodeId]] = {}
+        cells: dict[int, list[NodeId]] = {}
         cell = self.cell
         for node, x, y in positions:
-            key = (int(x // cell), int(y // cell))
+            key = int(x // cell) * _STRIDE + int(y // cell)
             bucket = cells.get(key)
             if bucket is None:
                 cells[key] = [node]
@@ -91,13 +101,13 @@ class SpatialGrid:
         self.cells = cells
 
     def candidates(self, x: float, y: float) -> list[NodeId]:
+        """Nodes in the 3x3 cells around (x, y), as a fresh list."""
         cell = self.cell
-        cx, cy = int(x // cell), int(y // cell)
-        cells = self.cells
+        key = int(x // cell) * _STRIDE + int(y // cell)
+        get = self.cells.get
         out: list[NodeId] = []
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                bucket = cells.get((i, j))
-                if bucket:
-                    out.extend(bucket)
+        for offset in _NEIGHBOURS:
+            bucket = get(key + offset)
+            if bucket:
+                out += bucket
         return out

@@ -215,7 +215,10 @@ _SECTION_KEYS = {
     "cluster": ("nodes", "area"),
     "transmitters": ("count", "area"),
     "radio": ("r", "R", "p_min"),
-    "engine": ("beacon_period_ms", "duration_ms", "injection_time_ms"),
+    "engine": (
+        "beacon_period_ms", "duration_ms", "injection_time_ms",
+        "delivery_latency_ms", "injected_version", "corruption_probability",
+    ),
     "protocol": ("piggyback", "token_control", "tokens"),
 }
 
@@ -359,9 +362,15 @@ def _build(top: dict, sections: list[tuple[str, dict]], name: str) -> ScenarioSp
                 injection_time=_get(
                     sec, "injection_time_ms", int, engine.injection_time
                 ),
-                delivery_latency=engine.delivery_latency,
-                injected_version=engine.injected_version,
-                corruption_probability=engine.corruption_probability,
+                delivery_latency=_get(
+                    sec, "delivery_latency_ms", int, engine.delivery_latency
+                ),
+                injected_version=_get(
+                    sec, "injected_version", int, engine.injected_version
+                ),
+                corruption_probability=_get(
+                    sec, "corruption_probability", float, engine.corruption_probability
+                ),
             )
         except ValueError as exc:
             raise ConfigError(f"engine: {exc}") from None
@@ -428,6 +437,9 @@ def render(spec: ScenarioSpec) -> str:
     lines.append(f"beacon_period_ms = {spec.engine.beacon_period}")
     lines.append(f"duration_ms = {spec.engine.duration}")
     lines.append(f"injection_time_ms = {spec.engine.injection_time}")
+    lines.append(f"delivery_latency_ms = {spec.engine.delivery_latency}")
+    lines.append(f"injected_version = {spec.engine.injected_version}")
+    lines.append(f"corruption_probability = {_fmt(spec.engine.corruption_probability)}")
     lines.append("[protocol]")
     lines.append(f"piggyback = {str(spec.protocol.piggyback).lower()}")
     lines.append(f"token_control = {str(spec.protocol.token_control).lower()}")

@@ -33,6 +33,15 @@ class TestEngineParams:
         with pytest.raises(ValueError):
             EngineParams(corruption_probability=1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["beacon_period", "delivery_latency", "duration", "injection_time"]
+    )
+    @pytest.mark.parametrize("value", [100.0, 1.5, True, "100"])
+    def test_times_must_be_int_ms(self, field, value):
+        # a float time would never meet the calendar queue's integer buckets
+        with pytest.raises(ValueError, match=field):
+            EngineParams(**{field: value})
+
 
 class TestVerifyDigest:
     def test_valid_digest_accepted(self):

@@ -145,6 +145,29 @@ class TestContactTrace:
         assert contacts_at(tr, 16) == {(0, 1), (1, 2)}
         assert contacts_at(tr, 25) == {(1, 2)}
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 50), st.integers(1, 30), st.integers(0, 4), st.integers(1, 4)
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.integers(0, 4),
+        st.integers(0, 90),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_partners_match_contacts_at(self, rows, node, t):
+        # unsorted, overlapping and repeated contacts: partners() stops
+        # scanning at the first interval that starts after t
+        tr = ContactTrace(
+            [ContactInterval(t0, t0 + length, a, (a + b) % 5) for t0, length, a, b in rows]
+        )
+        expected = sorted(
+            b if a == node else a for a, b in contacts_at(tr, t) if node in (a, b)
+        )
+        assert tr.partners(node, t) == expected
+
     def test_node_count(self):
         assert self._trace().node_count == 3
 

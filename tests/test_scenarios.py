@@ -1,12 +1,21 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossim import protocols
+from gossim.engine import EngineParams
+from gossim.mobility import AreaRect, MobilityParams
+from gossim.radio import RadioParams
 from gossim.mobility import load_trace
 from gossim.scenarios import (
     BUILTIN_NAMES,
+    Cluster,
     ConfigError,
+    ScenarioSpec,
+    TransmitterGroup,
     builtin,
     desk_scale,
     parse,
@@ -156,6 +165,91 @@ class TestRender:
         again = parse(render(spec), name=spec.name)
         assert again == spec
         assert again.protocol == protocols.fp()
+
+
+_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def _areas(draw):
+    xs = sorted(draw(st.lists(_coord, min_size=2, max_size=2, unique=True)))
+    ys = sorted(draw(st.lists(_coord, min_size=2, max_size=2, unique=True)))
+    return AreaRect(xs[0], ys[0], xs[1], ys[1])
+
+
+@st.composite
+def _engines(draw):
+    duration = draw(st.integers(min_value=1, max_value=10**6))
+    return EngineParams(
+        beacon_period=draw(st.integers(min_value=1, max_value=10**4)),
+        delivery_latency=draw(st.integers(min_value=0, max_value=10**4)),
+        duration=duration,
+        injection_time=draw(st.integers(min_value=0, max_value=duration - 1)),
+        injected_version=draw(st.integers(min_value=1, max_value=10**6)),
+        corruption_probability=draw(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+        ),
+    )
+
+
+@st.composite
+def _protocols(draw):
+    name = draw(st.sampled_from(sorted(protocols.BY_NAME)))
+    if name in ("fcp", "gcp"):
+        return protocols.BY_NAME[name](draw(st.integers(min_value=1, max_value=1000)))
+    return protocols.BY_NAME[name]()
+
+
+@st.composite
+def _radios(draw):
+    r, R = sorted(
+        draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=2, unique=True))
+    )
+    return RadioParams(r=r, R=R, p_min=draw(st.floats(min_value=1e-3, max_value=1.0)))
+
+
+@st.composite
+def _specs(draw):
+    trace = draw(st.none() | st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_./-]{0,30}", fullmatch=True))
+    geometric = trace is None
+    clusters = ()
+    transmitters = None
+    if geometric:
+        clusters = tuple(
+            Cluster(n, a)
+            for n, a in draw(
+                st.lists(st.tuples(st.integers(min_value=1, max_value=5000), _areas()), min_size=1, max_size=3)
+            )
+        )
+        if draw(st.booleans()):
+            transmitters = TransmitterGroup(draw(st.integers(min_value=1, max_value=500)), draw(_areas()))
+    return ScenarioSpec(
+        name="custom",
+        clusters=clusters,
+        transmitters=transmitters,
+        mobility=MobilityParams(),
+        radio=draw(_radios()) if geometric else None,
+        engine=draw(_engines()),
+        protocol=draw(_protocols()),
+        seed=draw(st.integers(min_value=-(2**40), max_value=2**40)),
+        trace=trace,
+    )
+
+
+class TestRoundTrip:
+    @given(_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_inverts_render(self, spec):
+        assert parse(render(spec)) == spec
+
+    def test_engine_knobs_survive(self):
+        engine = EngineParams(delivery_latency=3, injected_version=7, corruption_probability=0.25)
+        spec = replace(builtin("c1", protocols.gcp(5), seed=4), engine=engine)
+        text = render(spec)
+        assert "delivery_latency_ms = 3" in text
+        assert "injected_version = 7" in text
+        assert "corruption_probability = 0.25" in text
+        assert parse(text, name=spec.name) == spec
 
 
 class TestFingerprint:
