@@ -195,13 +195,6 @@ class Simulation:
             if self.record_actions:
                 self.actions.append((t, node, act))
 
-    def _deliver_beacon(self, receiver: int, version, t: int) -> None:
-        state, acts = on_beacon(self.states[receiver], self.cfg, version)
-        if acts:
-            self._apply(receiver, t, state, acts)
-        else:
-            self.states[receiver] = state
-
     def _deliver_software(self, receiver: int, version: int, t: int) -> None:
         msg = Message(SOFTWARE, receiver, version, digest_for(version))
         ok = verify_digest(msg, self.rng_corruption, self.ep.corruption_probability)
@@ -226,7 +219,8 @@ class Simulation:
         states = self.states
         beacon_sends = self.beacon_sends
         receivers_of = self._radio_receivers if self.trace is None else self.trace.partners
-        deliver_beacon = self._deliver_beacon
+        beacon_step = on_beacon
+        apply = self._apply
         deliver_software = self._deliver_software
         piggyback = cfg.piggyback
         tx = rx = 0  # beacon transmissions, beacon receptions
@@ -246,7 +240,11 @@ class Simulation:
                         rx += len(receivers)
                         version = states[node].version if piggyback else None
                         for rcv in receivers:
-                            deliver_beacon(rcv, version, now)
+                            state, acts = beacon_step(states[rcv], cfg, version)
+                            if acts:
+                                apply(rcv, now, state, acts)
+                            else:
+                                states[rcv] = state
                     at = now + period
                     if at <= duration:  # _push, inlined
                         nxt = queue.get(at)
@@ -263,7 +261,11 @@ class Simulation:
                     tx += 1
                     rx += len(receivers)
                     for rcv in receivers:
-                        deliver_beacon(rcv, payload, now)
+                        state, acts = beacon_step(states[rcv], cfg, payload)
+                        if acts:
+                            apply(rcv, now, state, acts)
+                        else:
+                            states[rcv] = state
                 else:  # _INJECT
                     target = self.rng_inject.randrange(self.n)
                     state = states[target]

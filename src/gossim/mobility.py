@@ -195,6 +195,10 @@ class ContactTrace:
     _by_node: dict[NodeId, list[ContactInterval]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # node -> (lo, hi, partners) of the last piece `partners` scanned
+    _memo: dict[NodeId, tuple[float, float, list[NodeId]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.intervals = sorted(
@@ -209,14 +213,40 @@ class ContactTrace:
         return 1 + max(max(iv.a, iv.b) for iv in self.intervals)
 
     def partners(self, node: NodeId, t: float) -> list[NodeId]:
-        """Nodes in contact with `node` at time t (half-open intervals)."""
+        """Nodes in contact with `node` at time t (half-open intervals).
+
+        Returns a new sorted list.  Each node remembers the piece
+        [lo, hi) around its last scanned t: the stretch that holds no
+        start or end of any of its intervals, so its partner set is
+        constant there.  A query inside that piece copies the answer; any
+        other query rescans and replaces the piece.  Queries may come in
+        any order of t.
+        """
+        memo = self._memo.get(node)
+        if memo is not None and memo[0] <= t < memo[1]:
+            return memo[2][:]
+        lo = -math.inf
+        hi = math.inf
         out = set()
         for iv in self._by_node.get(node, ()):
-            if iv.t_start > t:
-                break  # each node's intervals are sorted by start
-            if t < iv.t_end:
+            start = iv.t_start
+            if start > t:
+                # each node's intervals are sorted by start
+                if start < hi:
+                    hi = start
+                break
+            if start > lo:
+                lo = start
+            end = iv.t_end
+            if t < end:
                 out.add(iv.b if iv.a == node else iv.a)
-        return sorted(out)
+                if end < hi:
+                    hi = end
+            elif end > lo:
+                lo = end
+        found = sorted(out)
+        self._memo[node] = (lo, hi, found)
+        return found[:]
 
 
 def contacts_at(trace: ContactTrace, t: float) -> set[tuple[NodeId, NodeId]]:

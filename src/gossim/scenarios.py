@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional
@@ -246,6 +247,11 @@ def _parse_area(value: str, lineno: int) -> AreaRect:
         raise ConfigError(f"line {lineno}: {exc}") from None
 
 
+# a comment opens at a '#' that starts the line or follows whitespace,
+# so a value such as a trace path may hold '#' elsewhere
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse(config_text: str, name: str = "custom") -> ScenarioSpec:
     """Parse and validate a scenario config (key = value, [section]s)."""
     sections: list[tuple[str, dict]] = []
@@ -253,7 +259,8 @@ def parse(config_text: str, name: str = "custom") -> ScenarioSpec:
     current: Optional[dict] = None
     current_name = ""
     for lineno, raw in enumerate(config_text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        comment = _COMMENT.search(raw)
+        line = (raw[: comment.start()] if comment else raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -409,10 +416,18 @@ def _fmt(x: float) -> str:
 
 
 def render(spec: ScenarioSpec) -> str:
-    """Emit the config-file form of a spec; parse(render(s)) == s."""
+    """Emit the config-file form of a spec; parse(render(s)) == s.
+
+    Raises ValueError for a trace path that no config line can hold: one
+    with leading or trailing whitespace, a line break, or a '#' at its
+    start or after whitespace (parse would read a comment there).
+    """
     lines = [f"seed = {spec.seed}"]
     if spec.trace is not None:
-        lines.append(f"trace = {spec.trace}")
+        path = spec.trace
+        if path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path):
+            raise ValueError(f"trace path {path!r} cannot be written to a scenario file")
+        lines.append(f"trace = {path}")
     for c in spec.clusters:
         lines.append("[cluster]")
         lines.append(f"nodes = {c.node_count}")

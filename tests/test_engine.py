@@ -1,7 +1,12 @@
+import dataclasses
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossim import protocols, scenarios
 from gossim.core import SOFTWARE, Message, digest_for
@@ -158,9 +163,69 @@ class TestConservation:
             assert all(count <= 2 for count in per.values())
 
 
-def test_corruption_triggers_rerequests():
-    import dataclasses
+@st.composite
+def _trace_runs(draw):
+    """A small random contact trace and a spec that replays it."""
+    duration = draw(st.integers(min_value=200, max_value=4000))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, duration - 1),
+                st.integers(1, duration),
+                st.integers(0, 5),
+                st.integers(1, 5),
+            ),
+            min_size=1,
+            max_size=15,
+        )
+    )
+    contacts = [(t0, t0 + length, a, (a + b) % 6) for t0, length, a, b in rows]
+    name = draw(st.sampled_from(sorted(protocols.BY_NAME)))
+    if name in ("fcp", "gcp"):
+        protocol = protocols.BY_NAME[name](draw(st.integers(1, 3)))
+        # token caps bound re-request traffic, so corruption stays finite
+        corruption = draw(st.sampled_from([0.0, 0.25]))
+    else:
+        protocol = protocols.BY_NAME[name]()
+        corruption = 0.0
+    engine = EngineParams(
+        beacon_period=draw(st.integers(10, 200)),
+        delivery_latency=draw(st.integers(0, 20)),
+        duration=duration,
+        injection_time=draw(st.integers(0, duration - 1)),
+        corruption_probability=corruption,
+    )
+    return contacts, protocol, engine, draw(st.integers(0, 2**16))
 
+
+class TestTraceProperties:
+    @given(_trace_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_engine_invariants(self, case):
+        contacts, protocol, engine, seed = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            path.write_text(
+                "\n".join([",".join(TRACE_HEADER)] + [",".join(map(str, c)) for c in contacts])
+                + "\n"
+            )
+            spec = dataclasses.replace(
+                scenarios.trace_scenario(str(path), protocol, seed=seed), engine=engine
+            )
+            rec = run(spec)
+        if protocol.name == "fp":
+            # flooding answers every beacon it hears with one copy
+            assert rec.total_software_sends() == rec.beacon_receptions
+        if protocol.token_control:
+            # tokens refill only on upgrade: one budget per (node, version)
+            for per in rec.software_sends.values():
+                assert all(count <= protocol.initial_tokens for count in per.values())
+        times = [t for t, _, _ in rec.update_events]
+        assert times == sorted(times)
+        assert times[0] == engine.injection_time
+
+
+def test_corruption_triggers_rerequests():
     # token-capped protocol: re-request traffic stays bounded
     spec = tiny_spec(protocol=protocols.gcp(2), seed=5)
     noisy = dataclasses.replace(

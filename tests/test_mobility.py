@@ -20,6 +20,13 @@ from gossim.mobility import (
 
 AREA = AreaRect(0.0, 0.0, 10.0, 10.0)
 
+# (t_start, length, a, b offset) rows for contacts among nodes 0-4
+_CONTACT_ROWS = st.lists(
+    st.tuples(st.integers(0, 50), st.integers(1, 30), st.integers(0, 4), st.integers(1, 4)),
+    min_size=1,
+    max_size=25,
+)
+
 
 class TestFold:
     def test_inside_unchanged(self):
@@ -146,13 +153,7 @@ class TestContactTrace:
         assert contacts_at(tr, 25) == {(1, 2)}
 
     @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 50), st.integers(1, 30), st.integers(0, 4), st.integers(1, 4)
-            ),
-            min_size=1,
-            max_size=25,
-        ),
+        _CONTACT_ROWS,
         st.integers(0, 4),
         st.integers(0, 90),
     )
@@ -167,6 +168,40 @@ class TestContactTrace:
             b if a == node else a for a, b in contacts_at(tr, t) if node in (a, b)
         )
         assert tr.partners(node, t) == expected
+
+    @given(
+        _CONTACT_ROWS,
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.one_of(
+                    st.integers(0, 90),
+                    st.floats(0, 90, allow_nan=False),
+                    st.integers(0, 90).map(float),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_memo_matches_contacts_at_for_any_query_order(self, rows, queries, data):
+        # one trace queried many times: rising, repeated and backwards t,
+        # int and float, and exactly on every interval boundary
+        tr = ContactTrace(
+            [ContactInterval(t0, t0 + length, a, (a + b) % 5) for t0, length, a, b in rows]
+        )
+        edges = sorted({t for iv in tr.intervals for t in (iv.t_start, iv.t_end)})
+        rising = [(node, t) for t in edges for node in range(5)]
+        mixed = data.draw(st.permutations(queries + rising))
+        for node, t in mixed + rising + rising[::-1]:
+            expected = sorted(
+                b if a == node else a for a, b in contacts_at(tr, t) if node in (a, b)
+            )
+            got = tr.partners(node, t)
+            assert got == expected, (node, t)
+            got.append(-1)  # the caller owns the list; the memo must not change
 
     def test_node_count(self):
         assert self._trace().node_count == 3

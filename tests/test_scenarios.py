@@ -210,7 +210,12 @@ def _radios(draw):
 
 @st.composite
 def _specs(draw):
-    trace = draw(st.none() | st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_./-]{0,30}", fullmatch=True))
+    # '#' and inner spaces may appear, but no '#' right after a space: that
+    # one opens a comment, and render refuses such a path
+    paths = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_#./ -]{0,30}", fullmatch=True).filter(
+        lambda p: p == p.strip() and " #" not in p
+    )
+    trace = draw(st.none() | paths)
     geometric = trace is None
     clusters = ()
     transmitters = None
@@ -250,6 +255,18 @@ class TestRoundTrip:
         assert "injected_version = 7" in text
         assert "corruption_probability = 0.25" in text
         assert parse(text, name=spec.name) == spec
+
+    def test_hash_inside_trace_path_survives(self):
+        spec = trace_scenario("runs/day#2.csv", seed=3)
+        assert parse(render(spec), name="trace") == spec
+        assert parse("trace = runs/day#2.csv  # second day\n").trace == "runs/day#2.csv"
+
+    @pytest.mark.parametrize(
+        "path", ["runs/day #2.csv", "#day2.csv", " day2.csv", "day2.csv\t", "a\nb.csv"]
+    )
+    def test_render_refuses_unwritable_trace_path(self, path):
+        with pytest.raises(ValueError, match="trace path"):
+            render(trace_scenario(path))
 
 
 class TestFingerprint:
