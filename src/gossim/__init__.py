@@ -1,6 +1,5 @@
 """Gossip-based software-update dissemination simulator for mobile WSNs."""
 
-from .core import Message, NodeState, TokenBudget, newer, refill_tokens, spend_token
 from .engine import EngineParams, Simulation, run, verify_digest
 from .metrics import (
     RunRecord,
@@ -15,9 +14,9 @@ from .metrics import (
     savings,
     time_to_fraction,
 )
-from .mobility import AreaRect, ContactTrace, MobilityParams, contacts_at, load_trace
-from .protocols import ProtocolConfig, fcp, fp, gcp, make_beacon, on_beacon, on_software, pbp
-from .radio import RadioParams, delivery_probability, sample_receivers
+from .mobility import AreaRect, ContactTrace, MobilityParams, load_trace
+from .protocols import ProtocolConfig, fcp, fp, from_name, gcp, on_beacon, on_software, pbp
+from .radio import RadioParams, delivery_probability
 from .scenarios import ScenarioSpec, builtin, desk_scale, parse, render
 
 __version__ = "0.1.0"

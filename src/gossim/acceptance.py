@@ -51,10 +51,6 @@ def _run(spec) -> metrics.RunRecord:
     return _cache[key]
 
 
-def _protocol(name: str, tokens=None):
-    return protocols.BY_NAME[name](tokens) if tokens else protocols.BY_NAME[name]()
-
-
 def _batch(scenario: str) -> dict[tuple[str, int | None, int], metrics.RunRecord]:
     """Matched-seed desk runs over the full protocol grid."""
     out = {}
@@ -62,7 +58,7 @@ def _batch(scenario: str) -> dict[tuple[str, int | None, int], metrics.RunRecord
         for name, k in [("fp", None), ("pbp", None)] + [
             (n, k) for n in ("fcp", "gcp") for k in TOKEN_GRID
         ]:
-            out[(name, k, seed)] = _run(_desk_spec(scenario, _protocol(name, k), seed))
+            out[(name, k, seed)] = _run(_desk_spec(scenario, protocols.from_name(name, k), seed))
     return out
 
 
@@ -204,7 +200,7 @@ def criterion_5_savings(scale: str = "paper") -> CriterionResult:
         fcp_vals, gcp_vals = [], []
         for seed in seeds:
             recs = {
-                name: _run(scenarios.builtin("c9-social", _protocol(name, k), seed=seed))
+                name: _run(scenarios.builtin("c9-social", protocols.from_name(name, k), seed=seed))
                 for name, k in (("fp", None), ("fcp", 5), ("gcp", 5))
             }
             fcp_vals.append(metrics.savings(recs["fcp"], recs["fp"]))

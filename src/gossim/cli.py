@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import engine, metrics, protocols, scenarios
@@ -15,9 +16,12 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _default_seed() -> int:
+def _seed(args, spec) -> int:
+    """--seed, else $GOSSIM_SEED, else the scenario's own seed."""
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("GOSSIM_SEED")
-    return int(env) if env else 0
+    return int(env) if env else spec.seed
 
 
 def _load_scenario(ref: str, scale: str) -> scenarios.ScenarioSpec:
@@ -31,16 +35,6 @@ def _load_scenario(ref: str, scale: str) -> scenarios.ScenarioSpec:
     if scale == "desk":
         spec = scenarios.desk_scale(spec)
     return spec
-
-
-def _protocol_config(name: str, tokens) -> protocols.ProtocolConfig:
-    if name not in protocols.BY_NAME:
-        raise ConfigError(f"unknown protocol {name!r}")
-    if name in ("fcp", "gcp"):
-        if tokens is None:
-            raise ConfigError(f"tokens required for {name}")
-        return protocols.BY_NAME[name](tokens)
-    return protocols.BY_NAME[name]()
 
 
 def _write_run_outputs(outdir: Path, spec, rec: metrics.RunRecord, baseline=None):
@@ -67,60 +61,47 @@ def _write_run_outputs(outdir: Path, spec, rec: metrics.RunRecord, baseline=None
 def _cmd_run(args) -> int:
     spec = _load_scenario(args.scenario, args.scale)
     if args.protocol is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, protocol=_protocol_config(args.protocol, args.tokens))
-    if args.seed is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, seed=args.seed)
+        spec = replace(spec, protocol=protocols.from_name(args.protocol, args.tokens))
+    spec = replace(spec, seed=_seed(args, spec))
     rec = engine.run(spec)
     _write_run_outputs(Path(args.out), spec, rec)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    from dataclasses import replace
-
     spec = _load_scenario(args.scenario, args.scale)
     names = [p.strip() for p in args.protocols.split(",") if p.strip()]
     tokens_list = [int(t) for t in args.tokens_list.split(",")] if args.tokens_list else []
-    cells: list[tuple[str, object]] = []
+    # every cell's config is built before the first run, so a bad name or
+    # budget fails the command before it writes anything
+    cells: list[tuple[str, protocols.ProtocolConfig]] = []  # (label, config)
+    first = tokens_list[0] if tokens_list else None
     for name in names:
-        if name in ("fcp", "gcp"):
-            if not tokens_list:
-                raise ConfigError(f"--tokens-list required for {name}")
-            cells.extend((name, k) for k in tokens_list)
-        elif name in ("fp", "pbp"):
-            cells.append((name, None))
+        if protocols.from_name(name, first, "--tokens-list").token_control:
+            cells.extend((f"{name}{k}", protocols.from_name(name, k)) for k in tokens_list)
         else:
-            raise ConfigError(f"unknown protocol {name!r}")
+            cells.append((name, protocols.from_name(name)))
     # flooding first so it can serve as the savings baseline per seed
-    cells.sort(key=lambda c: c[0] != "fp")
+    cells.sort(key=lambda c: c[1].name != "fp")
 
-    base_seed = args.seed if args.seed is not None else _default_seed()
+    base_seed = _seed(args, spec)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for i in range(args.seeds):
         seed = base_seed + i
         baseline = None
-        for name, k in cells:
-            cell_spec = replace(
-                spec, protocol=_protocol_config(name, k), seed=seed
-            )
-            rec = engine.run(cell_spec)
-            if name == "fp":
+        for label, cfg in cells:
+            rec = engine.run(replace(spec, protocol=cfg, seed=seed))
+            flooding = cfg.name == "fp"
+            if flooding:
                 baseline = rec
-            label = name if k is None else f"{name}{k}"
             series = metrics.convergence_series(rec, rec.injected_version)
             metrics.write_convergence(
                 outdir / f"{label}_seed{seed}_convergence.csv", series
             )
             rows.append(
-                metrics.summary_row(
-                    rec, spec.name, baseline if name != "fp" else None
-                )
+                metrics.summary_row(rec, spec.name, None if flooding else baseline)
             )
     metrics.write_summary(outdir / "summary.csv", rows)
     return EXIT_OK
@@ -183,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one scenario")
     p_run.add_argument("--scenario", required=True, help="config file or builtin:NAME")
-    p_run.add_argument("--protocol", choices=("fp", "fcp", "pbp", "gcp"))
+    p_run.add_argument("--protocol", choices=tuple(protocols.BY_NAME))
     p_run.add_argument("--tokens", type=int)
-    p_run.add_argument("--seed", type=int, default=_default_seed())
+    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", required=True)
     add_scale(p_run)
     p_run.set_defaults(func=_cmd_run)

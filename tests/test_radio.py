@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossim.radio import RadioParams, SpatialGrid, delivery_probability, sample_receivers
+from gossim.radio import RadioParams, SpatialGrid, delivery_probability
+
+from oracles import sample_receivers
 
 DEFAULT = RadioParams(r=3.0, R=5.0, p_min=0.3)
 

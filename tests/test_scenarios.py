@@ -114,6 +114,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="line 2"):
             parse("seed = 1\ncolour = red\n")
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_bad_seed_has_line_number(self, value):
+        with pytest.raises(ConfigError, match=f"line 2: bad value '{value}' for 'seed'"):
+            parse(f"builtin = c1\nseed = {value}\n")
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse("[antenna]\n")
