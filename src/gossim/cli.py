@@ -16,12 +16,20 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
+def _int(text: str, source: str) -> int:
+    """int(text), or a ConfigError that names where the text came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"bad value {text!r} for {source}: expected an integer") from None
+
+
 def _seed(args, spec) -> int:
     """--seed, else $GOSSIM_SEED, else the scenario's own seed."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("GOSSIM_SEED")
-    return int(env) if env else spec.seed
+    return _int(env, "$GOSSIM_SEED") if env else spec.seed
 
 
 def _load_scenario(ref: str, scale: str) -> scenarios.ScenarioSpec:
@@ -71,7 +79,8 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     spec = _load_scenario(args.scenario, args.scale)
     names = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    tokens_list = [int(t) for t in args.tokens_list.split(",")] if args.tokens_list else []
+    raw_tokens = args.tokens_list.split(",") if args.tokens_list else []
+    tokens_list = [_int(t, "--tokens-list") for t in raw_tokens]
     # every cell's config is built before the first run, so a bad name or
     # budget fails the command before it writes anything
     cells: list[tuple[str, protocols.ProtocolConfig]] = []  # (label, config)

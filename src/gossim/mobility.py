@@ -164,7 +164,8 @@ class ContactInterval:
 @dataclass
 class ContactTrace:
     intervals: list[ContactInterval]
-    _by_node: dict[NodeId, list[ContactInterval]] = field(
+    # node -> its (t_start, t_end, other node) contacts, sorted by start
+    _by_node: dict[NodeId, list[tuple[int, int, NodeId]]] = field(
         default_factory=dict, repr=False, compare=False
     )
     # node -> (lo, hi, partners) of the last piece `partners` scanned
@@ -177,8 +178,8 @@ class ContactTrace:
             self.intervals, key=lambda iv: (iv.t_start, iv.t_end, iv.a, iv.b)
         )
         for iv in self.intervals:
-            self._by_node.setdefault(iv.a, []).append(iv)
-            self._by_node.setdefault(iv.b, []).append(iv)
+            self._by_node.setdefault(iv.a, []).append((iv.t_start, iv.t_end, iv.b))
+            self._by_node.setdefault(iv.b, []).append((iv.t_start, iv.t_end, iv.a))
 
     @property
     def node_count(self) -> int:
@@ -200,18 +201,16 @@ class ContactTrace:
         lo = -math.inf
         hi = math.inf
         out = set()
-        for iv in self._by_node.get(node, ()):
-            start = iv.t_start
+        for start, end, other in self._by_node.get(node, ()):
             if start > t:
-                # each node's intervals are sorted by start
+                # each node's contacts are sorted by start
                 if start < hi:
                     hi = start
                 break
             if start > lo:
                 lo = start
-            end = iv.t_end
             if t < end:
-                out.add(iv.b if iv.a == node else iv.a)
+                out.add(other)
                 if end < hi:
                     hi = end
             elif end > lo:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -31,7 +31,7 @@ class Cluster:
 
     def __post_init__(self):
         if self.node_count <= 0:
-            raise ConfigError("cluster node count must be positive")
+            raise ConfigError("node count must be positive")
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class TransmitterGroup:
 
     def __post_init__(self):
         if self.count <= 0:
-            raise ConfigError("transmitter count must be positive")
+            raise ConfigError("count must be positive")
 
 
 @dataclass(frozen=True)
@@ -210,19 +210,6 @@ def desk_scale(spec: ScenarioSpec) -> ScenarioSpec:
 
 # -- config file format ----------------------------------------------------
 
-_SECTIONS = ("cluster", "transmitters", "radio", "engine", "protocol")
-_TOP_KEYS = ("builtin", "seed", "trace")
-_SECTION_KEYS = {
-    "cluster": ("nodes", "area"),
-    "transmitters": ("count", "area"),
-    "radio": ("r", "R", "p_min"),
-    "engine": (
-        "beacon_period_ms", "duration_ms", "injection_time_ms",
-        "delivery_latency_ms", "injected_version", "corruption_probability",
-    ),
-    "protocol": ("piggyback", "token_control", "tokens"),
-}
-
 
 def _parse_bool(value: str) -> bool:
     low = value.lower()
@@ -233,19 +220,51 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_area(value: str, lineno: int) -> AreaRect:
+def _parse_area(value: str) -> AreaRect:
     parts = value.split()
     if len(parts) != 4:
-        raise ConfigError(f"line {lineno}: area needs 4 numbers (x_min y_min x_max y_max)")
+        raise ConfigError("area needs 4 numbers (x_min y_min x_max y_max)")
     try:
         x0, y0, x1, y1 = (float(v) for v in parts)
     except ValueError:
-        raise ConfigError(f"line {lineno}: area values must be numbers") from None
+        raise ConfigError("area values must be numbers") from None
     try:
         return AreaRect(x0, y0, x1, y1)
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
+
+# The file format, stated once: parse checks keys against these rows,
+# _build applies them and render writes them.  A row maps a file key to
+# the dataclass field it sets and the converter that reads its value.
+# Top-level rows set ScenarioSpec fields; `builtin` picks the base spec.
+_TOP = (("seed", "seed", int), ("trace", "trace", str))
+_SCHEMA = {
+    # a group section builds a new object and needs every key; [cluster]
+    # may repeat
+    "cluster": (("nodes", "node_count", int), ("area", "area", _parse_area)),
+    "transmitters": (("count", "count", int), ("area", "area", _parse_area)),
+    # any other section overrides fields of the base spec's value, and
+    # fills the ScenarioSpec field of its own name
+    "radio": (("r", "r", float), ("R", "R", float), ("p_min", "p_min", float)),
+    "engine": (
+        ("beacon_period_ms", "beacon_period", int),
+        ("duration_ms", "duration", int),
+        ("injection_time_ms", "injection_time", int),
+        ("delivery_latency_ms", "delivery_latency", int),
+        ("injected_version", "injected_version", int),
+        ("corruption_probability", "corruption_probability", float),
+    ),
+    "protocol": (
+        ("piggyback", "piggyback", _parse_bool),
+        ("token_control", "token_control", _parse_bool),
+        ("tokens", "initial_tokens", int),
+    ),
+}
+_GROUPS = {"cluster": Cluster, "transmitters": TransmitterGroup}
+# the keys each section accepts; "" is the top level
+_KEYS = {section: [key for key, _, _ in rows] for section, rows in _SCHEMA.items()}
+_KEYS[""] = ["builtin"] + [key for key, _, _ in _TOP]
 
 # a comment opens at a '#' that starts the line or follows whitespace,
 # so a value such as a trace path may hold '#' elsewhere
@@ -254,210 +273,124 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 def parse(config_text: str, name: str = "custom") -> ScenarioSpec:
     """Parse and validate a scenario config (key = value, [section]s)."""
-    sections: list[tuple[str, dict]] = []
-    top: dict[str, tuple[str, int]] = {}
-    current: Optional[dict] = None
-    current_name = ""
+    sections: list[tuple[str, dict]] = [("", {})]  # the top level first
     for lineno, raw in enumerate(config_text.splitlines(), start=1):
         comment = _COMMENT.search(raw)
         line = (raw[: comment.start()] if comment else raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current_name = line[1:-1].strip()
-            if current_name not in _SECTIONS:
-                raise ConfigError(f"line {lineno}: unknown section [{current_name}]")
-            if current_name != "cluster" and any(
-                n == current_name for n, _ in sections
-            ):
-                raise ConfigError(f"line {lineno}: duplicate section [{current_name}]")
-            current = {}
-            sections.append((current_name, current))
+            section = line[1:-1].strip()
+            if section not in _SCHEMA:
+                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            if section != "cluster" and any(n == section for n, _ in sections):
+                raise ConfigError(f"line {lineno}: duplicate section [{section}]")
+            sections.append((section, {}))
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if current is None:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            if key in top:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            top[key] = (value, lineno)
-        else:
-            allowed = _SECTION_KEYS[current_name]
-            if key not in allowed:
-                raise ConfigError(
-                    f"line {lineno}: unknown key {key!r} in [{current_name}]"
-                )
-            if key in current:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            current[key] = (value, lineno)
-    return _build(top, sections, name)
+        section, values = sections[-1]
+        if key not in _KEYS[section]:
+            where = f" in [{section}]" if section else ""
+            raise ConfigError(f"line {lineno}: unknown key {key!r}{where}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        values[key] = (value, lineno)
+    return _build(sections[0][1], sections[1:], name)
 
 
-def _get(section: dict, key: str, conv, default=None):
-    if key not in section:
-        return default
-    value, lineno = section[key]
-    try:
-        return conv(value)
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"line {lineno}: bad value {value!r} for {key!r}") from None
+def _values(section: dict, rows) -> dict:
+    """The converted values that `section` sets, by dataclass field."""
+    out = {}
+    for key, field, conv in rows:
+        if key not in section:
+            continue
+        value, lineno = section[key]
+        try:
+            out[field] = conv(value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        except ValueError:
+            raise ConfigError(f"line {lineno}: bad value {value!r} for {key!r}") from None
+    return out
 
 
 def _build(top: dict, sections: list[tuple[str, dict]], name: str) -> ScenarioSpec:
-    by_name: dict[str, dict] = {}
-    clusters_raw: list[dict] = []
-    for sec_name, sec in sections:
-        if sec_name == "cluster":
-            clusters_raw.append(sec)
-        else:
-            by_name[sec_name] = sec
-
-    base: Optional[ScenarioSpec] = None
     if "builtin" in top:
-        if clusters_raw or "transmitters" in by_name or "trace" in top:
+        if "trace" in top or any(s in _GROUPS for s, _ in sections):
             raise ConfigError("builtin cannot be combined with explicit geometry")
-        name = top["builtin"][0]
-        base = builtin(name)
-
-    seed = _get(top, "seed", int, 0)
-    trace = _get(top, "trace", str)
-
-    clusters: tuple[Cluster, ...] = base.clusters if base else ()
-    transmitters = base.transmitters if base else None
-    if clusters_raw:
-        built = []
-        for sec in clusters_raw:
-            nodes = _get(sec, "nodes", int)
-            area = sec.get("area")
-            if nodes is None or area is None:
-                raise ConfigError("each [cluster] needs nodes and area")
-            built.append(Cluster(nodes, _parse_area(*area)))
-        clusters = tuple(built)
-    if "transmitters" in by_name:
-        sec = by_name["transmitters"]
-        count = _get(sec, "count", int)
-        area = sec.get("area")
-        if count is None or area is None:
-            raise ConfigError("[transmitters] needs count and area")
-        transmitters = TransmitterGroup(count, _parse_area(*area))
-
-    radio = base.radio if base else (_DEFAULT_RADIO if trace is None else None)
-    if "radio" in by_name:
-        sec = by_name["radio"]
-        defaults = radio or _DEFAULT_RADIO
-        try:
-            radio = RadioParams(
-                r=_get(sec, "r", float, defaults.r),
-                R=_get(sec, "R", float, defaults.R),
-                p_min=_get(sec, "p_min", float, defaults.p_min),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"radio: {exc}") from None
-
-    engine = base.engine if base else EngineParams()
-    if "engine" in by_name:
-        sec = by_name["engine"]
-        try:
-            engine = EngineParams(
-                beacon_period=_get(sec, "beacon_period_ms", int, engine.beacon_period),
-                duration=_get(sec, "duration_ms", int, engine.duration),
-                injection_time=_get(
-                    sec, "injection_time_ms", int, engine.injection_time
-                ),
-                delivery_latency=_get(
-                    sec, "delivery_latency_ms", int, engine.delivery_latency
-                ),
-                injected_version=_get(
-                    sec, "injected_version", int, engine.injected_version
-                ),
-                corruption_probability=_get(
-                    sec, "corruption_probability", float, engine.corruption_probability
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"engine: {exc}") from None
-
-    protocol = base.protocol if base else gcp(5)
-    if "protocol" in by_name:
-        sec = by_name["protocol"]
-        piggyback = _get(sec, "piggyback", _parse_bool, protocol.piggyback)
-        token_control = _get(
-            sec, "token_control", _parse_bool, protocol.token_control
-        )
-        tokens = _get(sec, "tokens", int, protocol.initial_tokens)
-        try:
-            protocol = ProtocolConfig(piggyback, token_control, tokens)
-        except ValueError as exc:
-            raise ConfigError(f"protocol: {exc}") from None
-
-    try:
-        return ScenarioSpec(
+        fields = dict(vars(builtin(top["builtin"][0])))
+    else:
+        fields = dict(
             name=name,
-            clusters=clusters,
-            transmitters=transmitters,
+            clusters=(),
+            transmitters=None,
             mobility=MobilityParams(),
-            radio=radio,
-            engine=engine,
-            protocol=protocol,
-            seed=seed,
-            trace=trace,
+            radio=None if "trace" in top else _DEFAULT_RADIO,
+            engine=EngineParams(),
+            protocol=gcp(5),
+            seed=0,
+            trace=None,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    fields.update(_values(top, _TOP))
+    for section, keys in sections:
+        rows = _SCHEMA[section]
+        values = _values(keys, rows)
+        group = _GROUPS.get(section)
+        if group is not None and len(values) < len(rows):
+            raise ConfigError(f"[{section}] needs {' and '.join(_KEYS[section])}")
+        try:
+            if group is not None:
+                value = group(**values)
+            else:
+                # a trace scenario's radio is None; a [radio] section there
+                # builds on the default, and ScenarioSpec rejects the result
+                value = replace(fields[section] or _DEFAULT_RADIO, **values)
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
+        if section == "cluster":
+            fields["clusters"] += (value,)
+        else:
+            fields[section] = value
+    return ScenarioSpec(**fields)
 
 
-def _fmt(x: float) -> str:
-    return repr(x)
+def _fmt(value) -> str:
+    """`value` in the form its converter reads back."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, AreaRect):
+        return " ".join(repr(v) for v in astuple(value))
+    if isinstance(value, str):
+        return value
+    return repr(value)
+
+
+def _lines(obj, rows) -> list[str]:
+    values = ((key, getattr(obj, field)) for key, field, _ in rows)
+    return [f"{key} = {_fmt(value)}" for key, value in values if value is not None]
 
 
 def render(spec: ScenarioSpec) -> str:
     """Emit the config-file form of a spec; parse(render(s)) == s.
 
+    Every key is written, `tokens` too: without token control its value
+    is the normalized 1, which parse reads back to an equal config.
     Raises ValueError for a trace path that no config line can hold: one
     with leading or trailing whitespace, a line break, or a '#' at its
     start or after whitespace (parse would read a comment there).
     """
-    lines = [f"seed = {spec.seed}"]
-    if spec.trace is not None:
-        path = spec.trace
-        if path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path):
-            raise ValueError(f"trace path {path!r} cannot be written to a scenario file")
-        lines.append(f"trace = {path}")
-    for c in spec.clusters:
-        lines.append("[cluster]")
-        lines.append(f"nodes = {c.node_count}")
-        a = c.area
-        lines.append(
-            f"area = {_fmt(a.x_min)} {_fmt(a.y_min)} {_fmt(a.x_max)} {_fmt(a.y_max)}"
-        )
-    if spec.transmitters is not None:
-        t = spec.transmitters
-        lines.append("[transmitters]")
-        lines.append(f"count = {t.count}")
-        a = t.area
-        lines.append(
-            f"area = {_fmt(a.x_min)} {_fmt(a.y_min)} {_fmt(a.x_max)} {_fmt(a.y_max)}"
-        )
-    if spec.radio is not None:
-        lines.append("[radio]")
-        lines.append(f"r = {_fmt(spec.radio.r)}")
-        lines.append(f"R = {_fmt(spec.radio.R)}")
-        lines.append(f"p_min = {_fmt(spec.radio.p_min)}")
-    lines.append("[engine]")
-    lines.append(f"beacon_period_ms = {spec.engine.beacon_period}")
-    lines.append(f"duration_ms = {spec.engine.duration}")
-    lines.append(f"injection_time_ms = {spec.engine.injection_time}")
-    lines.append(f"delivery_latency_ms = {spec.engine.delivery_latency}")
-    lines.append(f"injected_version = {spec.engine.injected_version}")
-    lines.append(f"corruption_probability = {_fmt(spec.engine.corruption_probability)}")
-    lines.append("[protocol]")
-    lines.append(f"piggyback = {str(spec.protocol.piggyback).lower()}")
-    lines.append(f"token_control = {str(spec.protocol.token_control).lower()}")
-    if spec.protocol.token_control:
-        lines.append(f"tokens = {spec.protocol.initial_tokens}")
+    path = spec.trace
+    if path is not None and (
+        path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path)
+    ):
+        raise ValueError(f"trace path {path!r} cannot be written to a scenario file")
+    lines = _lines(spec, _TOP)
+    objs = [("cluster", c) for c in spec.clusters]
+    objs += [(s, getattr(spec, s)) for s in _SCHEMA if s != "cluster"]
+    for section, obj in objs:
+        if obj is not None:
+            lines += [f"[{section}]", *_lines(obj, _SCHEMA[section])]
     return "\n".join(lines) + "\n"

@@ -100,6 +100,19 @@ class TestConfigErrors:
         assert main(["run", "--scenario", tiny_cfg, "--protocol", "xp",
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_bad_seed_env_names_its_source(self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GOSSIM_SEED", "abc")
+        assert main(["run", "--scenario", tiny_cfg, "--protocol", "fp",
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "bad value 'abc' for $GOSSIM_SEED" in capsys.readouterr().err
+
+    def test_bad_tokens_list_entry_names_its_source(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", tiny_cfg, "--protocols", "gcp",
+                     "--tokens-list", "2,x", "--out", str(out)]) == EXIT_CONFIG
+        assert "bad value 'x' for --tokens-list" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_matched_seed_grid(self, tiny_cfg, tmp_path):

@@ -11,6 +11,7 @@ from gossim.mobility import AreaRect, MobilityParams
 from gossim.radio import RadioParams
 from gossim.mobility import load_trace
 from gossim.scenarios import (
+    _SCHEMA,
     BUILTIN_NAMES,
     Cluster,
     ConfigError,
@@ -157,6 +158,65 @@ class TestParse:
             "[cluster]\nnodes = 3\narea = 20 20 30 30\n"
         )
         assert spec.n_nodes == 5
+
+
+# An oracle written apart from the schema table: for each key, the field
+# it sets, a valid value in file form and that value once parsed.
+_CHANGES = {
+    ("cluster", "nodes"): ("node_count", "3", 3),
+    ("cluster", "area"): ("area", "1 1 8 8", AreaRect(1.0, 1.0, 8.0, 8.0)),
+    ("transmitters", "count"): ("count", "4", 4),
+    ("transmitters", "area"): ("area", "0 0 30 30", AreaRect(0.0, 0.0, 30.0, 30.0)),
+    ("radio", "r"): ("r", "2.5", 2.5),
+    ("radio", "R"): ("R", "6.5", 6.5),
+    ("radio", "p_min"): ("p_min", "0.5", 0.5),
+    ("engine", "beacon_period_ms"): ("beacon_period", "250", 250),
+    ("engine", "duration_ms"): ("duration", "9000", 9000),
+    ("engine", "injection_time_ms"): ("injection_time", "500", 500),
+    ("engine", "delivery_latency_ms"): ("delivery_latency", "7", 7),
+    ("engine", "injected_version"): ("injected_version", "3", 3),
+    ("engine", "corruption_probability"): ("corruption_probability", "0.125", 0.125),
+    ("protocol", "piggyback"): ("piggyback", "false", False),
+    ("protocol", "token_control"): ("token_control", "false", False),
+    ("protocol", "tokens"): ("initial_tokens", "9", 9),
+}
+_ROWS = [(section, key) for section, rows in _SCHEMA.items() for key, _, _ in rows]
+_BASE_FILE = {
+    "cluster": {"nodes": "2", "area": "0 0 9 9"},
+    "transmitters": {"count": "1", "area": "0 0 20 20"},
+}
+
+
+def _file(section=None, key=None, value=None):
+    """The base file, with `key` in [section] set to `value`."""
+    body = {s: dict(keys) for s, keys in _BASE_FILE.items()}
+    if section is not None:
+        body.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for s, keys in body.items()
+    )
+
+
+class TestSchemaRows:
+    @pytest.mark.parametrize("section, key", _ROWS, ids=[f"{s}.{k}" for s, k in _ROWS])
+    def test_bad_value_names_line_and_key(self, section, key):
+        text = _file(section, key, "nope")
+        lineno = text.splitlines().index(f"{key} = nope") + 1
+        with pytest.raises(ConfigError, match=f"^line {lineno}: ") as exc:
+            parse(text)
+        assert key in str(exc.value)
+
+    @pytest.mark.parametrize("section, key", _ROWS, ids=[f"{s}.{k}" for s, k in _ROWS])
+    def test_key_sets_only_its_field(self, section, key):
+        field, text, value = _CHANGES[section, key]
+        base = parse(_file())
+        if section == "cluster":
+            expected = replace(base, clusters=(replace(base.clusters[0], **{field: value}),))
+        else:
+            expected = replace(base, **{section: replace(getattr(base, section), **{field: value})})
+        assert expected != base
+        assert parse(_file(section, key, text)) == expected
 
 
 class TestRender:
