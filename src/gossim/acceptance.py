@@ -62,6 +62,11 @@ def _batch(scenario: str) -> dict[tuple[str, int | None, int], metrics.RunRecord
     return out
 
 
+def _mean_sends(batch, name: str, k: int | None) -> float:
+    """Mean software sends of one protocol cell over the desk seeds."""
+    return mean(batch[(name, k, s)].total_software_sends() for s in DESK_SEEDS)
+
+
 def _t90(rec: metrics.RunRecord) -> int:
     """Time to 90% coverage, censored at the run duration when unreached."""
     series = metrics.convergence_series(rec, rec.injected_version)
@@ -115,9 +120,6 @@ def _flag_square_spec(cfg, seed=11):
     return scenarios.ScenarioSpec(
         name="flag-square",
         clusters=(cluster,),
-        transmitters=None,
-        mobility=mobility.MobilityParams(),
-        radio=scenarios._DEFAULT_RADIO,
         engine=engine.EngineParams(duration=8_000),
         protocol=cfg,
         seed=seed,
@@ -213,10 +215,9 @@ def criterion_5_savings(scale: str = "paper") -> CriterionResult:
             f"gcp(5)={gcp_s:.2f}% (want >=95)",
         )
     batch = _batch("c9-social")
-    tot = lambda name, k=None: mean(
-        batch[(name, k, s)].total_software_sends() for s in DESK_SEEDS
+    fp_t, fcp_t, gcp_t = (
+        _mean_sends(batch, name, k) for name, k in (("fp", None), ("fcp", 5), ("gcp", 5))
     )
-    fp_t, fcp_t, gcp_t = tot("fp"), tot("fcp", 5), tot("gcp", 5)
     ok = gcp_t <= fcp_t and 3.0 * fcp_t <= fp_t
     return CriterionResult(
         5, "message savings (desk fallback)", ok,
@@ -226,10 +227,10 @@ def criterion_5_savings(scale: str = "paper") -> CriterionResult:
 
 def criterion_6_load_ordering() -> CriterionResult:
     batch = _batch("c9-social")
-    tot = lambda name, k=None: mean(
-        batch[(name, k, s)].total_software_sends() for s in DESK_SEEDS
+    fp_t, pbp_t, fcp_t, gcp_t = (
+        _mean_sends(batch, name, k)
+        for name, k in (("fp", None), ("pbp", None), ("fcp", 5), ("gcp", 5))
     )
-    fp_t, pbp_t, fcp_t, gcp_t = tot("fp"), tot("pbp"), tot("fcp", 5), tot("gcp", 5)
     problems = []
     if not fp_t > 10.0 * pbp_t:
         problems.append(f"fp {fp_t:.1f} not > 10x pbp {pbp_t:.1f}")
@@ -311,24 +312,15 @@ def criterion_9_reliability() -> CriterionResult:
 
 
 def _eventually_connected(spec, injected: int) -> bool:
-    """Independent oracle: can flooding reach everyone from the injected node?
+    """Oracle: can flooding reach everyone from the injected node?
 
-    Re-derives node trajectories from the mobility module alone, samples
-    the certain-delivery graph (d <= r) every 250 ms, and propagates
-    reachability through its components.  Conservative: brief contacts
-    between samples are ignored.
+    Takes the node trajectories of the engine's own set-up for `spec`,
+    samples the certain-delivery graph (d <= r) every 250 ms, and
+    propagates reachability through its components by brute force,
+    without the engine's grid or radio draws.  Conservative: brief
+    contacts between samples are ignored.
     """
-    rng = engine._stream(spec.seed, "placement")
-    motions = []
-    for count, area in spec.node_areas():
-        for i in range(count):
-            node = len(motions)
-            pos = (rng.uniform(area.x_min, area.x_max), rng.uniform(area.y_min, area.y_max))
-            motions.append(
-                mobility.NodeMotion(
-                    pos, area, spec.mobility, engine._stream(spec.seed, f"mobility/{node}")
-                )
-            )
+    motions = engine.Simulation(spec).motions
     n = len(motions)
     reached = {injected}
     r2 = spec.radio.r ** 2
@@ -369,9 +361,6 @@ def criterion_10_convergence_shape() -> CriterionResult:
     dense = scenarios.ScenarioSpec(
         name="dense-connected",
         clusters=(scenarios.Cluster(60, mobility.AreaRect(0, 0, 16, 16)),),
-        transmitters=None,
-        mobility=mobility.MobilityParams(),
-        radio=scenarios._DEFAULT_RADIO,
         engine=engine.EngineParams(duration=6_000),
         protocol=protocols.fp(),
         seed=23,

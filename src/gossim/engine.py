@@ -19,12 +19,25 @@ from .protocols import SendBeacon, SendSoftware, UpdateLocal, on_beacon, on_soft
 from .radio import SpatialGrid, delivery_probability
 
 # event kinds; events run in time order, FIFO within one ms
-_INJECT = 0
-_BEACON = 1  # periodic beacon, handled at its delivery tick
-_TX_BEACON = 2  # pull beacon emitted by a protocol action
-_TX_SOFTWARE = 3
+_BEACON = 0  # periodic beacon, handled at its delivery tick
+_TX_BEACON = 1  # pull beacon emitted by a protocol action
+_TX_SOFTWARE = 2
+_INJECT = 3
 
 GRID_EPOCH_MS = 100
+
+# the model choices that every run records alike
+_METADATA = {
+    "tie_break": "fifo_insertion_seq",
+    "beacon_phase": "uniform_int[0,beacon_period)",
+    "pause_distribution": "uniform[0,pause_max]",
+    "leg_model": "direction~U[0,2pi), duration~U[min,max], speed~U[min,max]",
+    "border_rule": "specular_reflection",
+    "digest": "md5/128bit",
+    "rng_substreams": "placement,phases,injection,radio,corruption,mobility/<node>",
+    "grid_epoch_ms": str(GRID_EPOCH_MS),
+    "nominal_payload_bytes": "1024",
+}
 
 
 @dataclass(frozen=True)
@@ -120,9 +133,6 @@ class Simulation:
         self.update_events: list[tuple[int, int, int]] = []
         self.software_sends: dict[int, dict[int, int]] = {}
         self.beacon_sends: dict[int, int] = {}
-        self.beacon_receptions = 0
-        self.beacon_tx_count = 0
-        self.beacon_rx_sum = 0
         self.actions: list[tuple] = []
 
         # calendar queue: ms -> events (kind, node, payload) in push order
@@ -216,26 +226,33 @@ class Simulation:
             # the list iterator goes by index, so events that a zero
             # delivery latency appends to this ms run after those before them
             for kind, node, payload in bucket:
-                if kind == _BEACON:
-                    # fired at (now - latency); sampled at the delivery tick
-                    beacon_sends[node] = beacon_sends.get(node, 0) + 1
+                # a beacon, periodic (the most frequent event) or pull
+                if kind <= _TX_BEACON:
+                    if kind == _BEACON:
+                        # fired at (now - latency); carries the sender's version
+                        # at the delivery tick, where a pull beacon's payload is
+                        # the version it was sent with
+                        beacon_sends[node] = beacon_sends.get(node, 0) + 1
+                        payload = versions[node] if piggyback else None
                     receivers = receivers_of(node, now)
                     tx += 1
-                    if receivers:
+                    if receivers:  # most periodic beacons on sparse layouts: none
                         rx += len(receivers)
-                        version = versions[node] if piggyback else None
                         for rcv in receivers:
-                            tokens[rcv], act = beacon_step(cfg, versions[rcv], tokens[rcv], version)
+                            tokens[rcv], act = beacon_step(cfg, versions[rcv], tokens[rcv], payload)
                             if act is not None:
                                 apply(rcv, now, act)
-                    at = now + period
-                    if at <= duration:  # _push, inlined
-                        nxt = queue.get(at)
-                        if nxt is None:
-                            queue[at] = [(_BEACON, node, None)]
-                        else:
-                            nxt.append((_BEACON, node, None))
-                        self.seq += 1
+                    # rescheduled after the receivers: a TX event they schedule
+                    # for the same ms (latency == period) runs before it
+                    if kind == _BEACON:
+                        at = now + period
+                        if at <= duration:  # _push, inlined
+                            nxt = queue.get(at)
+                            if nxt is None:
+                                queue[at] = [(_BEACON, node, None)]
+                            else:
+                                nxt.append((_BEACON, node, None))
+                            self.seq += 1
                 elif kind == _TX_SOFTWARE:
                     for rcv in receivers_of(node, now):
                         # each delivered copy carries the image's digest
@@ -243,14 +260,6 @@ class Simulation:
                         versions[rcv], tokens[rcv], act = software_step(
                             cfg, versions[rcv], tokens[rcv], payload, ok
                         )
-                        if act is not None:
-                            apply(rcv, now, act)
-                elif kind == _TX_BEACON:
-                    receivers = receivers_of(node, now)
-                    tx += 1
-                    rx += len(receivers)
-                    for rcv in receivers:
-                        tokens[rcv], act = beacon_step(cfg, versions[rcv], tokens[rcv], payload)
                         if act is not None:
                             apply(rcv, now, act)
                 else:  # _INJECT
@@ -264,12 +273,10 @@ class Simulation:
             if not queue:
                 break  # only running events schedule new ones
 
-        self.beacon_tx_count = tx
-        # every receiver of a beacon transmission is one beacon reception
-        self.beacon_receptions = self.beacon_rx_sum = rx
-        return self._record()
+        return self._record(tx, rx)
 
-    def _record(self) -> RunRecord:
+    def _record(self, tx: int, rx: int) -> RunRecord:
+        """The run's record; tx beacon transmissions were heard rx times."""
         ep = self.ep
         cfg = self.cfg
         spec = self.spec
@@ -280,15 +287,7 @@ class Simulation:
             "injection_time_ms": str(ep.injection_time),
             "injected_version": str(ep.injected_version),
             "corruption_probability": repr(ep.corruption_probability),
-            "tie_break": "fifo_insertion_seq",
-            "beacon_phase": "uniform_int[0,beacon_period)",
-            "pause_distribution": "uniform[0,pause_max]",
-            "leg_model": "direction~U[0,2pi), duration~U[min,max], speed~U[min,max]",
-            "border_rule": "specular_reflection",
-            "digest": "md5/128bit",
-            "rng_substreams": "placement,phases,injection,radio,corruption,mobility/<node>",
-            "grid_epoch_ms": str(GRID_EPOCH_MS),
-            "nominal_payload_bytes": "1024",
+            **_METADATA,
             "trace_mode": str(self.trace is not None).lower(),
         }
         return RunRecord(
@@ -302,9 +301,10 @@ class Simulation:
             update_events=self.update_events,
             software_sends=self.software_sends,
             beacon_sends=self.beacon_sends,
-            beacon_receptions=self.beacon_receptions,
-            beacon_tx_count=self.beacon_tx_count,
-            beacon_rx_sum=self.beacon_rx_sum,
+            # every receiver of a beacon transmission is one beacon reception
+            beacon_receptions=rx,
+            beacon_tx_count=tx,
+            beacon_rx_sum=rx,
             metadata=metadata,
             action_log=self.actions if self.record_actions else None,
         )

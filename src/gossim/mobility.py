@@ -44,17 +44,6 @@ class MobilityParams:
             raise ValueError("speed range invalid")
 
 
-def _fold(u: float, lo: float, hi: float) -> float:
-    """Reflect an unconstrained coordinate back into [lo, hi].
-
-    Equivalent to integrating the straight leg tick by tick and
-    mirroring the overshoot at each wall (billiard unfolding).
-    """
-    span = hi - lo
-    y = (u - lo) % (2.0 * span)
-    return lo + y if y <= span else lo + 2.0 * span - y
-
-
 class NodeMotion:
     """Alternating leg / pause walk, evaluated lazily and analytically.
 
@@ -64,7 +53,7 @@ class NodeMotion:
     """
 
     __slots__ = (
-        "area", "params", "rng",
+        "params", "rng",
         "seg_start", "seg_end", "paused",
         "ox", "oy", "vx", "vy", "last_t",
         "x_lo", "x_span", "y_lo", "y_span",
@@ -80,8 +69,7 @@ class NodeMotion:
     ):
         if not area.contains(*position):
             raise ValueError("initial position outside area")
-        self.area = area
-        # _fold's bounds, kept for the inlined fold in position_at
+        # the walls that position_at folds a leg back between
         self.x_lo, self.x_span = area.x_min, area.x_max - area.x_min
         self.y_lo, self.y_span = area.y_min, area.y_max - area.y_min
         self.params = params
@@ -114,35 +102,34 @@ class NodeMotion:
             self.paused = True
         self.seg_end = self.seg_start + duration
 
-    def _position_in_segment(self, t: float) -> tuple[float, float]:
-        if self.paused:
-            return self.ox, self.oy
-        dt = t - self.seg_start
-        a = self.area
-        return (
-            _fold(self.ox + self.vx * dt, a.x_min, a.x_max),
-            _fold(self.oy + self.vy * dt, a.y_min, a.y_max),
-        )
-
     def position_at(self, t: float) -> tuple[float, float]:
         if t < self.last_t:
             raise AssertionError("mobility queried backwards in time")
         self.last_t = t
-        while t >= self.seg_end:
-            self.ox, self.oy = self._position_in_segment(self.seg_end)
+        while True:
+            # the position at min(t, seg_end); past the end, it starts the next segment
+            past = t >= self.seg_end
+            if self.paused:
+                x = self.ox
+                y = self.oy
+            else:
+                # a straight leg, reflected at each wall it crosses: fold the
+                # unconstrained coordinate u into [lo, lo + span] (billiard
+                # unfolding, the same as mirroring the overshoot tick by tick)
+                dt = (self.seg_end if past else t) - self.seg_start
+                lo = self.x_lo
+                span = self.x_span
+                u = (self.ox + self.vx * dt - lo) % (2.0 * span)
+                x = lo + u if u <= span else lo + 2.0 * span - u
+                lo = self.y_lo
+                span = self.y_span
+                u = (self.oy + self.vy * dt - lo) % (2.0 * span)
+                y = lo + u if u <= span else lo + 2.0 * span - u
+            if not past:
+                return x, y
+            self.ox = x
+            self.oy = y
             self._next_segment(leg=self.paused)
-        if self.paused:
-            return self.ox, self.oy
-        # _position_in_segment with _fold inlined: the same float expressions
-        dt = t - self.seg_start
-        lo = self.x_lo
-        span = self.x_span
-        u = (self.ox + self.vx * dt - lo) % (2.0 * span)
-        x = lo + u if u <= span else lo + 2.0 * span - u
-        lo = self.y_lo
-        span = self.y_span
-        u = (self.oy + self.vy * dt - lo) % (2.0 * span)
-        return x, (lo + u if u <= span else lo + 2.0 * span - u)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -46,14 +46,22 @@ class TransmitterGroup:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """One workload: node layout, mobility, radio, engine and protocol.
+
+    The defaults are the paper's: no transmitters, default mobility and
+    engine, the radio r=3, R=5, p_min=0.3, gcp(5) and seed 0.  A trace
+    spec replays contacts instead of geometry and passes `radio=None`
+    and no clusters.
+    """
+
     name: str
     clusters: tuple[Cluster, ...]
-    transmitters: Optional[TransmitterGroup]
-    mobility: MobilityParams
-    radio: Optional[RadioParams]
-    engine: EngineParams
-    protocol: ProtocolConfig
-    seed: int
+    transmitters: Optional[TransmitterGroup] = None
+    mobility: MobilityParams = MobilityParams()
+    radio: Optional[RadioParams] = RadioParams(r=3.0, R=5.0, p_min=0.3)
+    engine: EngineParams = EngineParams()
+    protocol: ProtocolConfig = gcp(5)
+    seed: int = 0
     trace: Optional[str] = None
 
     def __post_init__(self):
@@ -94,7 +102,8 @@ class ScenarioSpec:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
-_DEFAULT_RADIO = RadioParams(r=3.0, R=5.0, p_min=0.3)
+# field -> default value; name and clusters have none (MISSING)
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioSpec)}
 
 
 def sample_trace_path() -> str:
@@ -106,17 +115,9 @@ def trace_scenario(
     trace_path: str, protocol: Optional[ProtocolConfig] = None, seed: int = 0
 ) -> ScenarioSpec:
     """Trace-replay scenario: contacts replace geometry and radio."""
-    return ScenarioSpec(
-        name="trace",
-        clusters=(),
-        transmitters=None,
-        mobility=MobilityParams(),
-        radio=None,
-        engine=EngineParams(),
-        protocol=protocol if protocol is not None else gcp(5),
-        seed=seed,
-        trace=trace_path,
-    )
+    spec = ScenarioSpec(name="trace", clusters=(), radio=None, seed=seed, trace=trace_path)
+    return spec if protocol is None else replace(spec, protocol=protocol)
+
 
 BUILTIN_NAMES = (
     "c1", "c1-sparse", "c2", "c2-social", "c4", "c4-social", "c9", "c9-social"
@@ -170,16 +171,13 @@ def _builtin_geometry(name: str):
 
 def builtin(name: str, protocol: Optional[ProtocolConfig] = None, seed: int = 0) -> ScenarioSpec:
     clusters, transmitters = _builtin_geometry(name)
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         name=name,
         clusters=tuple(Cluster(n, a) for n, a in clusters),
         transmitters=transmitters,
-        mobility=MobilityParams(),
-        radio=_DEFAULT_RADIO,
-        engine=EngineParams(),
-        protocol=protocol if protocol is not None else gcp(5),
         seed=seed,
     )
+    return spec if protocol is None else replace(spec, protocol=protocol)
 
 
 def desk_scale(spec: ScenarioSpec) -> ScenarioSpec:
@@ -321,20 +319,12 @@ def _build(top: dict, sections: list[tuple[str, dict]], name: str) -> ScenarioSp
     if "builtin" in top:
         if "trace" in top or any(s in _GROUPS for s, _ in sections):
             raise ConfigError("builtin cannot be combined with explicit geometry")
-        fields = dict(vars(builtin(top["builtin"][0])))
+        base = dict(vars(builtin(top["builtin"][0])))
     else:
-        fields = dict(
-            name=name,
-            clusters=(),
-            transmitters=None,
-            mobility=MobilityParams(),
-            radio=None if "trace" in top else _DEFAULT_RADIO,
-            engine=EngineParams(),
-            protocol=gcp(5),
-            seed=0,
-            trace=None,
-        )
-    fields.update(_values(top, _TOP))
+        base = dict(_DEFAULTS, name=name, clusters=())
+        if "trace" in top:
+            base["radio"] = None
+    base.update(_values(top, _TOP))
     for section, keys in sections:
         rows = _SCHEMA[section]
         values = _values(keys, rows)
@@ -347,14 +337,14 @@ def _build(top: dict, sections: list[tuple[str, dict]], name: str) -> ScenarioSp
             else:
                 # a trace scenario's radio is None; a [radio] section there
                 # builds on the default, and ScenarioSpec rejects the result
-                value = replace(fields[section] or _DEFAULT_RADIO, **values)
+                value = replace(base[section] or _DEFAULTS[section], **values)
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
         if section == "cluster":
-            fields["clusters"] += (value,)
+            base["clusters"] += (value,)
         else:
-            fields[section] = value
-    return ScenarioSpec(**fields)
+            base[section] = value
+    return ScenarioSpec(**base)
 
 
 def _fmt(value) -> str:
@@ -380,8 +370,11 @@ def render(spec: ScenarioSpec) -> str:
     is the normalized 1, which parse reads back to an equal config.
     Raises ValueError for a trace path that no config line can hold: one
     with leading or trailing whitespace, a line break, or a '#' at its
-    start or after whitespace (parse would read a comment there).
+    start or after whitespace (parse would read a comment there).  Raises
+    it too for non-default mobility, which no config key holds.
     """
+    if spec.mobility != _DEFAULTS["mobility"]:
+        raise ValueError(f"{spec.mobility!r} cannot be written to a scenario file")
     path = spec.trace
     if path is not None and (
         path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path)

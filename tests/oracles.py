@@ -1,7 +1,8 @@
 """Brute-force oracles for the simulator's accelerated paths.
 
 Each one answers the same question as a fast path in the package by
-looking at every node or every contact, so tests can compare the two.
+looking at every node or every contact, or by walking a node one whole
+segment at a time, so tests can compare the two.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 import random
 
 from gossim.core import NodeId
-from gossim.mobility import ContactTrace
+from gossim.mobility import AreaRect, ContactTrace, MobilityParams
 from gossim.radio import RadioParams, delivery_probability
 
 
@@ -45,3 +46,57 @@ def contacts_at(trace: ContactTrace, t: float) -> set[tuple[NodeId, NodeId]]:
         for iv in trace.intervals
         if iv.t_start <= t < iv.t_end
     }
+
+
+def fold(u: float, lo: float, hi: float) -> float:
+    """Reflect an unconstrained coordinate back into [lo, hi].
+
+    Equivalent to integrating the straight leg tick by tick and
+    mirroring the overshoot at each wall (billiard unfolding).
+    """
+    span = hi - lo
+    y = (u - lo) % (2.0 * span)
+    return lo + y if y <= span else lo + 2.0 * span - y
+
+
+def walk(
+    position: tuple[float, float],
+    area: AreaRect,
+    params: MobilityParams,
+    rng: random.Random,
+    times: list[float],
+) -> list[tuple[float, float]]:
+    """Where a NodeMotion started at time 0 is at each of the rising `times`.
+
+    Replays its draws (a leg's direction, duration and speed, then a
+    pause's length, and so on) one whole segment at a time, and folds
+    each leg into the area with `fold`.
+    """
+    x, y = position
+    start = end = 0.0
+    leg = False  # whether the segment [start, end) moves
+    vx = vy = 0.0
+    out = []
+    for t in times:
+        while t >= end:
+            if leg:
+                x = fold(x + vx * (end - start), area.x_min, area.x_max)
+                y = fold(y + vy * (end - start), area.y_min, area.y_max)
+            leg = not leg
+            start = end
+            if leg:
+                angle = 2.0 * math.pi * rng.random()
+                duration = rng.uniform(params.leg_duration_min, params.leg_duration_max)
+                speed = rng.uniform(params.speed_min, params.speed_max)
+                vx = math.cos(angle) * speed / 1000.0  # m/s over ms
+                vy = math.sin(angle) * speed / 1000.0
+            else:
+                duration = rng.uniform(0.0, params.pause_max)
+            end = start + duration
+        if leg:
+            dt = t - start
+            out.append((fold(x + vx * dt, area.x_min, area.x_max),
+                        fold(y + vy * dt, area.y_min, area.y_max)))
+        else:
+            out.append((x, y))
+    return out

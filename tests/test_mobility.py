@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,11 +13,10 @@ from gossim.mobility import (
     MobilityParams,
     NodeMotion,
     TRACE_HEADER,
-    _fold,
     load_trace,
 )
 
-from oracles import contacts_at
+from oracles import contacts_at, fold, walk
 
 AREA = AreaRect(0.0, 0.0, 10.0, 10.0)
 
@@ -30,18 +30,18 @@ _CONTACT_ROWS = st.lists(
 
 class TestFold:
     def test_inside_unchanged(self):
-        assert _fold(4.2, 0.0, 10.0) == 4.2
+        assert fold(4.2, 0.0, 10.0) == 4.2
 
     def test_single_reflection(self):
-        assert _fold(11.0, 0.0, 10.0) == pytest.approx(9.0)
-        assert _fold(-2.0, 0.0, 10.0) == pytest.approx(2.0)
+        assert fold(11.0, 0.0, 10.0) == pytest.approx(9.0)
+        assert fold(-2.0, 0.0, 10.0) == pytest.approx(2.0)
 
     def test_many_reflections(self):
-        assert _fold(47.0, 0.0, 10.0) == pytest.approx(7.0)
+        assert fold(47.0, 0.0, 10.0) == pytest.approx(7.0)
 
     @given(st.floats(min_value=-1e6, max_value=1e6))
     def test_always_in_bounds(self, u):
-        assert 0.0 <= _fold(u, 0.0, 10.0) <= 10.0
+        assert 0.0 <= fold(u, 0.0, 10.0) <= 10.0
 
     @given(st.floats(min_value=0.0, max_value=200.0), st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=100, deadline=None)
@@ -57,10 +57,29 @@ class TestFold:
                 x, vel = 20.0 - x, -vel
             elif x < 0.0:
                 x, vel = -x, -vel
-        assert _fold(5.0 + v * dt, 0.0, 10.0) == pytest.approx(x, abs=1e-6)
+        assert fold(5.0 + v * dt, 0.0, 10.0) == pytest.approx(x, abs=1e-6)
 
 
 class TestNodeMotion:
+    @given(
+        st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+        st.floats(0.01, 3.0), st.floats(0.01, 3.0),
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+        st.integers(0, 2**32),
+        st.lists(st.integers(0, 3000), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_walk(self, x0, y0, w, h, fx, fy, seed, steps):
+        """position_at equals a segment-by-segment replay of the same
+        draws, folded with the reference fold, bit for bit; areas of a
+        few metres make legs cross the walls again and again."""
+        area = AreaRect(x0, y0, x0 + w, y0 + h)
+        start = (x0 + fx * w, y0 + fy * h)
+        times = list(itertools.accumulate(steps))
+        m = NodeMotion(start, area, MobilityParams(), random.Random(seed))
+        got = [m.position_at(t) for t in times]
+        assert got == walk(start, area, MobilityParams(), random.Random(seed), times)
+
     def test_stays_in_area(self):
         m = NodeMotion((5.0, 5.0), AREA, MobilityParams(), random.Random(2))
         for t in range(0, 60_000, 37):

@@ -333,6 +333,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="trace path"):
             render(trace_scenario(path))
 
+    def test_render_refuses_non_default_mobility(self):
+        # no scenario-file key holds mobility, so render cannot keep it
+        spec = replace(builtin("c1"), mobility=replace(MobilityParams(), pause_max=7.0))
+        with pytest.raises(ValueError, match="MobilityParams"):
+            render(spec)
+
 
 class TestFingerprint:
     def test_ignores_protocol(self):
