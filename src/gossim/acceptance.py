@@ -8,6 +8,7 @@ process so the statistical criteria share one batch.
 from __future__ import annotations
 
 import filecmp
+import functools
 import math
 import tempfile
 from dataclasses import dataclass, replace
@@ -20,8 +21,6 @@ from .radio import RadioParams, delivery_probability
 DESK_SEEDS = tuple(range(100, 110))
 TOKEN_GRID = (2, 3, 5)
 
-_cache: dict = {}
-
 
 @dataclass
 class CriterionResult:
@@ -29,6 +28,10 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+
+    def __str__(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"[{status}] criterion {self.cid}: {self.name} -- {self.detail}"
 
 
 def _desk_spec(name: str, protocol, seed: int, duration=None) -> scenarios.ScenarioSpec:
@@ -38,17 +41,9 @@ def _desk_spec(name: str, protocol, seed: int, duration=None) -> scenarios.Scena
     return spec
 
 
-def _run(spec) -> metrics.RunRecord:
-    key = (
-        spec.name,
-        spec.protocol,
-        spec.seed,
-        spec.engine.duration,
-        spec.workload_fingerprint(),
-    )
-    if key not in _cache:
-        _cache[key] = engine.run(spec)
-    return _cache[key]
+@functools.cache
+def _run(spec: scenarios.ScenarioSpec) -> metrics.RunRecord:
+    return engine.run(spec)
 
 
 def _batch(scenario: str) -> dict[tuple[str, int | None, int], metrics.RunRecord]:
@@ -62,9 +57,9 @@ def _batch(scenario: str) -> dict[tuple[str, int | None, int], metrics.RunRecord
     return out
 
 
-def _mean_sends(batch, name: str, k: int | None) -> float:
-    """Mean software sends of one protocol cell over the desk seeds."""
-    return mean(batch[(name, k, s)].total_software_sends() for s in DESK_SEEDS)
+def _mean(batch, name: str, k: int | None, of=metrics.RunRecord.total_software_sends) -> float:
+    """Mean of `of(record)` over the desk seeds of one protocol cell."""
+    return mean(of(batch[(name, k, s)]) for s in DESK_SEEDS)
 
 
 def _t90(rec: metrics.RunRecord) -> int:
@@ -136,13 +131,13 @@ def criterion_3_flag_square() -> CriterionResult:
     wired = all(
         cfg.piggyback == pb and cfg.token_control == tc for cfg, pb, tc in square
     )
+    # each corner derived from gcp(5); dropping token control must also
+    # normalize the unused budget
+    gcp5 = protocols.gcp(5)
     pairs = [
-        (protocols.ProtocolConfig(piggyback=True, token_control=False),
-         protocols.pbp(), "gcp minus tokens == pbp"),
-        (protocols.ProtocolConfig(piggyback=False, token_control=True,
-                                  initial_tokens=5),
-         protocols.fcp(5), "gcp minus piggyback == fcp"),
-        (protocols.ProtocolConfig(piggyback=False, token_control=False),
+        (replace(gcp5, token_control=False), protocols.pbp(), "gcp minus tokens == pbp"),
+        (replace(gcp5, piggyback=False), protocols.fcp(5), "gcp minus piggyback == fcp"),
+        (replace(gcp5, piggyback=False, token_control=False),
          protocols.fp(), "gcp minus both == fp"),
     ]
     failures = []
@@ -168,14 +163,9 @@ def criterion_4_speed_ordering() -> CriterionResult:
     total = 0
     for scenario in ("c9", "c9-social"):
         batch = _batch(scenario)
-        t90 = {}
-        for (name, k, seed), rec in batch.items():
-            t = _t90(rec)
-            t90[(name, k, seed)] = t
-            total += 1
-            if t == rec.duration_ms:
-                censored += 1
-        m = lambda name, k=None: mean(t90[(name, k, s)] for s in DESK_SEEDS)
+        total += len(batch)
+        censored += sum(_t90(rec) == rec.duration_ms for rec in batch.values())
+        m = lambda name, k=None: _mean(batch, name, k, of=_t90)
         if m("fp") > m("pbp"):
             problems.append(f"{scenario}: fp {m('fp'):.0f} > pbp {m('pbp'):.0f}")
         if abs(m("pbp") - m("gcp", 5)) > 0.2 * m("gcp", 5):
@@ -216,7 +206,7 @@ def criterion_5_savings(scale: str = "paper") -> CriterionResult:
         )
     batch = _batch("c9-social")
     fp_t, fcp_t, gcp_t = (
-        _mean_sends(batch, name, k) for name, k in (("fp", None), ("fcp", 5), ("gcp", 5))
+        _mean(batch, name, k) for name, k in (("fp", None), ("fcp", 5), ("gcp", 5))
     )
     ok = gcp_t <= fcp_t and 3.0 * fcp_t <= fp_t
     return CriterionResult(
@@ -228,7 +218,7 @@ def criterion_5_savings(scale: str = "paper") -> CriterionResult:
 def criterion_6_load_ordering() -> CriterionResult:
     batch = _batch("c9-social")
     fp_t, pbp_t, fcp_t, gcp_t = (
-        _mean_sends(batch, name, k)
+        _mean(batch, name, k)
         for name, k in (("fp", None), ("pbp", None), ("fcp", 5), ("gcp", 5))
     )
     problems = []

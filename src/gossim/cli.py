@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import replace
@@ -83,13 +84,16 @@ def _cmd_compare(args) -> int:
     tokens_list = [_int(t, "--tokens-list") for t in raw_tokens]
     # every cell's config is built before the first run, so a bad name or
     # budget fails the command before it writes anything
-    cells: list[tuple[str, protocols.ProtocolConfig]] = []  # (label, config)
     first = tokens_list[0] if tokens_list else None
-    for name in names:
-        if protocols.from_name(name, first, "--tokens-list").token_control:
-            cells.extend((f"{name}{k}", protocols.from_name(name, k)) for k in tokens_list)
-        else:
-            cells.append((name, protocols.from_name(name)))
+    cells = [  # (label, config)
+        (name if k is None else f"{name}{k}", protocols.from_name(name, k))
+        for name in names
+        for k in (
+            tokens_list
+            if protocols.from_name(name, first, "--tokens-list").token_control
+            else [None]
+        )
+    ]
     # flooding first so it can serve as the savings baseline per seed
     cells.sort(key=lambda c: c[1].name != "fp")
 
@@ -117,7 +121,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    params = metrics.TheoreticalParams(
+    bounds = metrics.load_bounds(
         n_v=args.nv,
         t=args.tokens,
         n_nh=args.nnh,
@@ -126,10 +130,8 @@ def _cmd_bounds(args) -> int:
         n_s=args.nodes,
     )
     print("protocol  per_node_send_bound")
-    print(f"fp        {metrics.bound_flooding(params):.4f}")
-    print(f"fcp       {metrics.bound_fcp(params):.4f}")
-    print(f"pbp       {metrics.bound_pbp(params):.4f}")
-    print(f"gcp       {metrics.bound_gcp(params):.4f}")
+    for name, value in bounds.items():
+        print(f"{name:<10}{value:.4f}")
     return EXIT_OK
 
 
@@ -137,23 +139,18 @@ def _cmd_validate(args) -> int:
     from . import acceptance
 
     results = acceptance.run_suite(scale=args.scale)
-    outdir = Path(args.out) if args.out else None
-    if outdir:
+    if args.out:
+        outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        lines = [
-            f"{r.cid},{'pass' if r.passed else 'FAIL'},{r.name},{r.detail}"
-            for r in results
-        ]
-        (outdir / "report.csv").write_text(
-            "criterion,status,name,detail\n" + "\n".join(lines) + "\n",
-            encoding="utf-8",
-        )
-    ok = True
+        with open(outdir / "report.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["criterion", "status", "name", "detail"])
+            w.writerows(
+                [r.cid, "pass" if r.passed else "FAIL", r.name, r.detail] for r in results
+            )
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] criterion {r.cid}: {r.name} -- {r.detail}")
-        ok = ok and r.passed
-    return EXIT_OK if ok else EXIT_RUNTIME
+        print(r)
+    return EXIT_OK if all(r.passed for r in results) else EXIT_RUNTIME
 
 
 def build_parser() -> argparse.ArgumentParser:

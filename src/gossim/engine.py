@@ -26,6 +26,18 @@ _INJECT = 3
 
 GRID_EPOCH_MS = 100
 
+# the [engine] scenario-file keys, each with the EngineParams field it
+# sets and the converter that reads its value; a run's metadata records
+# every field under its key
+KEYS = (
+    ("beacon_period_ms", "beacon_period", int),
+    ("duration_ms", "duration", int),
+    ("injection_time_ms", "injection_time", int),
+    ("delivery_latency_ms", "delivery_latency", int),
+    ("injected_version", "injected_version", int),
+    ("corruption_probability", "corruption_probability", float),
+)
+
 # the model choices that every run records alike
 _METADATA = {
     "tie_break": "fifo_insertion_seq",
@@ -281,12 +293,7 @@ class Simulation:
         cfg = self.cfg
         spec = self.spec
         metadata = {
-            "beacon_period_ms": str(ep.beacon_period),
-            "delivery_latency_ms": str(ep.delivery_latency),
-            "duration_ms": str(ep.duration),
-            "injection_time_ms": str(ep.injection_time),
-            "injected_version": str(ep.injected_version),
-            "corruption_probability": repr(ep.corruption_probability),
+            **{key: repr(getattr(ep, field)) for key, field, _ in KEYS},
             **_METADATA,
             "trace_mode": str(self.trace is not None).lower(),
         }

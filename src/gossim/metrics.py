@@ -89,38 +89,26 @@ def time_to_fraction(
     return None
 
 
-@dataclass(frozen=True)
-class TheoreticalParams:
-    n_v: int  # number of upgrades over the run
-    t: int  # tokens per node
-    n_nh: float  # average neighbourhood size
-    d: float  # run duration, ms
-    p_b: float  # beacon period, ms
-    n_s: int  # network size
+def load_bounds(
+    n_v: int, t: int, n_nh: float, d: float, p_b: float, n_s: int
+) -> dict[str, float]:
+    """Closed-form per-node software sends of each protocol, by name.
 
-    def __post_init__(self):
-        if min(self.n_v, self.t, self.n_s) < 0 or self.t == 0 or self.n_s == 0:
-            raise ValueError("counts must be positive (n_v may be 0)")
-        if self.n_nh < 0 or self.d <= 0 or self.p_b <= 0:
-            raise ValueError("n_nh, d, p_b must be positive")
-
-
-def bound_flooding(p: TheoreticalParams) -> float:
-    """Per-node software sends under flooding: one per received beacon."""
-    return p.d / p.p_b * p.n_nh
-
-
-def bound_fcp(p: TheoreticalParams) -> float:
-    """Tokens are also drained for the factory version, hence n_v + 1."""
-    return (p.n_v + 1) * p.t
-
-
-def bound_pbp(p: TheoreticalParams) -> float:
-    return p.n_v * (p.n_s - 1)
-
-
-def bound_gcp(p: TheoreticalParams) -> float:
-    return p.n_v * p.t
+    n_v upgrades over the run, t tokens per node, n_nh neighbours on
+    average, a run of d ms, beacons every p_b ms, n_s nodes.  Flooding
+    sends once per received beacon; fcp's tokens are also drained for
+    the factory version, hence n_v + 1.
+    """
+    if min(n_v, t, n_s) < 0 or t == 0 or n_s == 0:
+        raise ValueError("counts must be positive (n_v may be 0)")
+    if n_nh < 0 or d <= 0 or p_b <= 0:
+        raise ValueError("n_nh, d, p_b must be positive")
+    return {
+        "fp": d / p_b * n_nh,
+        "fcp": (n_v + 1) * t,
+        "pbp": n_v * (n_s - 1),
+        "gcp": n_v * t,
+    }
 
 
 def gossip_reliability(c: float) -> float:
@@ -179,7 +167,7 @@ def summary_row(
     series = convergence_series(rec, rec.injected_version)
     t90 = time_to_fraction(series, 0.9, rec.n_nodes)
     tokens = rec.tokens if rec.tokens is not None else ""
-    params = TheoreticalParams(
+    bounds = load_bounds(
         n_v=1,
         t=rec.tokens or 1,
         n_nh=rec.measured_nnh(),
@@ -199,10 +187,7 @@ def summary_row(
         "t90_ms": t90 if t90 is not None else "",
         "savings_pct": f"{savings(rec, baseline):.4f}" if baseline else "",
         "measured_nnh": f"{rec.measured_nnh():.6f}",
-        "bound_fp": f"{bound_flooding(params):.4f}",
-        "bound_fcp": f"{bound_fcp(params):.4f}",
-        "bound_pbp": f"{bound_pbp(params):.4f}",
-        "bound_gcp": f"{bound_gcp(params):.4f}",
+        **{f"bound_{name}": f"{value:.4f}" for name, value in bounds.items()},
     }
 
 

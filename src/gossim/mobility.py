@@ -65,7 +65,6 @@ class NodeMotion:
         area: AreaRect,
         params: MobilityParams,
         rng: random.Random,
-        start: float = 0.0,
     ):
         if not area.contains(*position):
             raise ValueError("initial position outside area")
@@ -75,9 +74,7 @@ class NodeMotion:
         self.params = params
         self.rng = rng
         self.ox, self.oy = position
-        self.last_t = start
-        self.seg_start = start
-        self.seg_end = start
+        self.last_t = self.seg_end = 0.0
         self.paused = True
         self.vx = self.vy = 0.0
         self._next_segment(leg=True)

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .engine import EngineParams
+from .engine import KEYS as ENGINE_KEYS, EngineParams
 from .mobility import AreaRect, MobilityParams
 from .protocols import ProtocolConfig, gcp
 from .radio import RadioParams
@@ -119,11 +119,6 @@ def trace_scenario(
     return spec if protocol is None else replace(spec, protocol=protocol)
 
 
-BUILTIN_NAMES = (
-    "c1", "c1-sparse", "c2", "c2-social", "c4", "c4-social", "c9", "c9-social"
-)
-
-
 def _rect(x0, y0, x1, y1) -> AreaRect:
     return AreaRect(float(x0), float(y0), float(x1), float(y1))
 
@@ -136,41 +131,34 @@ def _tiles(per_row: int, size: float, pitch: float) -> list[AreaRect]:
     ]
 
 
-def _builtin_geometry(name: str):
-    if name == "c1":
-        return [(2000, _rect(0, 0, 250, 250))], None
-    if name == "c1-sparse":
-        return [(2000, _rect(0, 0, 1100, 1100))], None
-    if name == "c2":
-        # two 800x800 rectangles overlapping in a 100x100 corner square
-        return [
-            (1000, _rect(0, 0, 800, 800)),
-            (1000, _rect(700, 700, 1500, 1500)),
-        ], None
-    if name == "c2-social":
-        return [
-            (950, _rect(0, 0, 800, 800)),
-            (950, _rect(1200, 1200, 2000, 2000)),
-        ], TransmitterGroup(100, _rect(0, 0, 2000, 2000))
-    if name == "c4":
-        return [(500, a) for a in _tiles(2, 550, 550)], None
-    if name == "c4-social":
-        return (
-            [(475, a) for a in _tiles(2, 550, 750)],
-            TransmitterGroup(100, _rect(0, 0, 1300, 1300)),
-        )
-    if name == "c9":
-        return [(250, a) for a in _tiles(3, 400, 400)], None
-    if name == "c9-social":
-        return (
-            [(240, a) for a in _tiles(3, 400, 550)],
-            TransmitterGroup(90, _rect(0, 0, 1500, 1500)),
-        )
-    raise ConfigError(f"unknown builtin scenario {name!r}")
+# name -> (clusters as (node count, area), transmitter group or None)
+_BUILTINS = {
+    "c1": ([(2000, _rect(0, 0, 250, 250))], None),
+    "c1-sparse": ([(2000, _rect(0, 0, 1100, 1100))], None),
+    # two 800x800 rectangles overlapping in a 100x100 corner square
+    "c2": ([(1000, _rect(0, 0, 800, 800)), (1000, _rect(700, 700, 1500, 1500))], None),
+    "c2-social": (
+        [(950, _rect(0, 0, 800, 800)), (950, _rect(1200, 1200, 2000, 2000))],
+        TransmitterGroup(100, _rect(0, 0, 2000, 2000)),
+    ),
+    "c4": ([(500, a) for a in _tiles(2, 550, 550)], None),
+    "c4-social": (
+        [(475, a) for a in _tiles(2, 550, 750)],
+        TransmitterGroup(100, _rect(0, 0, 1300, 1300)),
+    ),
+    "c9": ([(250, a) for a in _tiles(3, 400, 400)], None),
+    "c9-social": (
+        [(240, a) for a in _tiles(3, 400, 550)],
+        TransmitterGroup(90, _rect(0, 0, 1500, 1500)),
+    ),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str, protocol: Optional[ProtocolConfig] = None, seed: int = 0) -> ScenarioSpec:
-    clusters, transmitters = _builtin_geometry(name)
+    if name not in _BUILTINS:
+        raise ConfigError(f"unknown builtin scenario {name!r}")
+    clusters, transmitters = _BUILTINS[name]
     spec = ScenarioSpec(
         name=name,
         clusters=tuple(Cluster(n, a) for n, a in clusters),
@@ -245,14 +233,7 @@ _SCHEMA = {
     # any other section overrides fields of the base spec's value, and
     # fills the ScenarioSpec field of its own name
     "radio": (("r", "r", float), ("R", "R", float), ("p_min", "p_min", float)),
-    "engine": (
-        ("beacon_period_ms", "beacon_period", int),
-        ("duration_ms", "duration", int),
-        ("injection_time_ms", "injection_time", int),
-        ("delivery_latency_ms", "delivery_latency", int),
-        ("injected_version", "injected_version", int),
-        ("corruption_probability", "corruption_probability", float),
-    ),
+    "engine": ENGINE_KEYS,
     "protocol": (
         ("piggyback", "piggyback", _parse_bool),
         ("token_control", "token_control", _parse_bool),

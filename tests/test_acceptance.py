@@ -10,9 +10,8 @@ from gossim import acceptance
 
 
 def _check(result):
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] criterion {result.cid}: {result.name} -- {result.detail}")
-    assert result.passed, f"criterion {result.cid} ({result.name}): {result.detail}"
+    print(result)
+    assert result.passed, str(result)
 
 
 def test_criterion_01_token_cap():

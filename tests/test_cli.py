@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from gossim import acceptance
 from gossim.cli import EXIT_CONFIG, EXIT_OK, main
 
 TINY = """\
@@ -177,3 +178,20 @@ class TestBounds:
         assert "fcp       10.0000" in out
         assert "pbp       1999.0000" in out
         assert "gcp       5.0000" in out
+
+
+class TestValidate:
+    def test_report_keeps_details_with_commas(self, tmp_path, monkeypatch, capsys):
+        # both details hold commas, which must not split into extra columns
+        results = [acceptance.criterion_2_radio(), acceptance.criterion_9_reliability()]
+        monkeypatch.setattr(acceptance, "run_suite", lambda scale: results)
+        out = tmp_path / "report"
+        assert main(["validate", "--out", str(out)]) == EXIT_OK
+        with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+            rows = [list(row.items()) for row in csv.DictReader(fh)]
+        assert rows == [
+            [("criterion", str(r.cid)), ("status", "pass"), ("name", r.name),
+             ("detail", r.detail)]
+            for r in results
+        ]
+        assert capsys.readouterr().out.splitlines() == [str(r) for r in results]

@@ -4,13 +4,9 @@ import pytest
 
 from gossim.metrics import (
     RunRecord,
-    TheoreticalParams,
-    bound_fcp,
-    bound_flooding,
-    bound_gcp,
-    bound_pbp,
     convergence_series,
     gossip_reliability,
+    load_bounds,
     load_histogram,
     savings,
     time_to_fraction,
@@ -85,28 +81,28 @@ def test_load_histogram_mass():
 
 class TestBounds:
     # one upgrade, 5 tokens, 10 neighbours, 50 s run, 100 ms beacons, 2000 nodes
-    P = TheoreticalParams(n_v=1, t=5, n_nh=10.0, d=50_000.0, p_b=100.0, n_s=2000)
+    B = load_bounds(n_v=1, t=5, n_nh=10.0, d=50_000.0, p_b=100.0, n_s=2000)
 
     def test_flooding(self):
-        assert bound_flooding(self.P) == pytest.approx(5000.0)
+        assert self.B["fp"] == pytest.approx(5000.0)
 
     def test_fcp_includes_factory_version(self):
-        assert bound_fcp(self.P) == pytest.approx(10.0)
+        assert self.B["fcp"] == pytest.approx(10.0)
 
     def test_pbp(self):
-        assert bound_pbp(self.P) == pytest.approx(1999.0)
+        assert self.B["pbp"] == pytest.approx(1999.0)
 
     def test_gcp(self):
-        assert bound_gcp(self.P) == pytest.approx(5.0)
+        assert self.B["gcp"] == pytest.approx(5.0)
 
     def test_zero_upgrades_allowed(self):
-        p = TheoreticalParams(n_v=0, t=5, n_nh=1.0, d=1000.0, p_b=100.0, n_s=10)
-        assert bound_gcp(p) == 0.0
-        assert bound_fcp(p) == 5.0
+        b = load_bounds(n_v=0, t=5, n_nh=1.0, d=1000.0, p_b=100.0, n_s=10)
+        assert b["gcp"] == 0.0
+        assert b["fcp"] == 5.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TheoreticalParams(n_v=1, t=0, n_nh=1.0, d=1000.0, p_b=100.0, n_s=10)
+            load_bounds(n_v=1, t=0, n_nh=1.0, d=1000.0, p_b=100.0, n_s=10)
 
 
 class TestGossipReliability:

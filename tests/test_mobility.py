@@ -81,10 +81,18 @@ class TestNodeMotion:
         assert got == walk(start, area, MobilityParams(), random.Random(seed), times)
 
     def test_stays_in_area(self):
-        m = NodeMotion((5.0, 5.0), AREA, MobilityParams(), random.Random(2))
+        """A 1 m square crossed again and again over 60 s: every position
+        is inside, and the node comes near both walls on each axis."""
+        box = AreaRect(0.0, 0.0, 1.0, 1.0)
+        m = NodeMotion((0.5, 0.5), box, MobilityParams(), random.Random(2))
+        xs, ys = [], []
         for t in range(0, 60_000, 37):
             x, y = m.position_at(t)
-            assert AREA.contains(x, y)
+            assert box.contains(x, y)
+            xs.append(x)
+            ys.append(y)
+        assert min(xs) < 0.05 and max(xs) > 0.95
+        assert min(ys) < 0.05 and max(ys) > 0.95
 
     def test_backwards_query_is_a_bug(self):
         m = NodeMotion((5.0, 5.0), AREA, MobilityParams(), random.Random(2))
