@@ -59,6 +59,14 @@ CELLS = {
     "fp-latency0": (lambda: dense_spec(protocols.fp(), duration=2000, delivery_latency=0), False),
     # latency beyond the beacon period: a node's beacons overlap in flight
     "pbp-latency150": (lambda: dense_spec(protocols.pbp(), delivery_latency=150), False),
+    # latency equal to the period: a beacon's receivers and its next beacon
+    # are queued in the same ms, and each goes in the order it was scheduled
+    "gcp2-latency100": (lambda: dense_spec(protocols.gcp(2), delivery_latency=100), False),
+    # zero latency: the injection at 1038 ms runs before that ms's beacons,
+    # so the injected node answers the beacons it hears there at once
+    "gcp2-latency0-inject1038": (
+        lambda: dense_spec(protocols.gcp(2), delivery_latency=0, injection_time=1038), False
+    ),
     "fcp2-corrupt-actions": (
         lambda: dense_spec(protocols.fcp(2), corruption_probability=0.25), True
     ),
@@ -74,6 +82,8 @@ GOLDEN = {
     "gcp2-corrupt": "96c5df9ec62d8daaf15f95771246427bdf5daffcec18ac6adcd79a5c7b3baec4",
     "fp-latency0": "9a2b3b4d0e8eec258bf2bac3020ff33a33d677a152294bc7216303ee33dcba43",
     "pbp-latency150": "6a4cec99572b4ca8f13ea5045d2bacbad1b81c9ec8edd138e58e0570878fe1b3",
+    "gcp2-latency100": "0ea64abf0ecc934619ac1c91c8f7da1527a7a6ad50fc05f9c27b9a3d41388ab4",
+    "gcp2-latency0-inject1038": "8095cd49674479522aa125b9a805b05da368e31449ebfd2edec6b6e9cf997ae1",
     "fcp2-corrupt-actions": "f0b32c04c63dca3657776b6c575974083ead40eb2de9c1b560d2d5be1835e3f1",
 }
 
