@@ -1,15 +1,27 @@
 """Deterministic discrete-event loop driving one simulation run.
 
 Same (scenario, seed) means byte-identical results: one logical thread,
-a calendar queue of integer-ms buckets, FIFO per ms (events at equal
-timestamps run in the order they were scheduled), and named random
-substreams so that one subsystem's draws never perturb another's.
+FIFO per ms (events at equal timestamps run in the order they were
+scheduled), and named random substreams so that one subsystem's draws
+never perturb another's.
+
+Periodic beacons follow a static schedule: node i beacons at
+phase[i] + latency + k * period, so the nodes that share a phase form a
+group that fires together, in node order.  Only the injection and the
+transmissions that protocol actions make go through the calendar queue
+of integer-ms buckets.  Each queued event carries its stamp, the value
+of `seq` when it was pushed; a periodic beacon's stamp is the value of
+`seq` when the node's previous beacon had finished, receivers included,
+which is when a loop that queued every beacon would have queued it.  A
+ms runs its group and its bucket merged in stamp order, so the order is
+the same as with every beacon queued, and `seq` counts those beacons too.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import mobility as mob
@@ -18,8 +30,7 @@ from .metrics import RunRecord
 from .protocols import SendBeacon, SendSoftware, UpdateLocal, on_beacon, on_software
 from .radio import SpatialGrid, delivery_probability
 
-# event kinds; events run in time order, FIFO within one ms
-_BEACON = 0  # periodic beacon, handled at its delivery tick
+# queued event kinds; events run in time order, FIFO within one ms
 _TX_BEACON = 1  # pull beacon emitted by a protocol action
 _TX_SOFTWARE = 2
 _INJECT = 3
@@ -147,9 +158,9 @@ class Simulation:
         self.beacon_sends: dict[int, int] = {}
         self.actions: list[tuple] = []
 
-        # calendar queue: ms -> events (kind, node, payload) in push order
+        # calendar queue: ms -> events (stamp, kind, node, payload) in push order
         self.queue: dict[int, list[tuple]] = {}
-        self.seq = 0  # events scheduled
+        self.seq = 0  # events scheduled, periodic beacons included
 
     # -- scheduling ---------------------------------------------------
 
@@ -158,9 +169,9 @@ class Simulation:
             return
         bucket = self.queue.get(at)
         if bucket is None:
-            self.queue[at] = [(kind, a, b)]
+            self.queue[at] = [(self.seq, kind, a, b)]
         else:
-            bucket.append((kind, a, b))
+            bucket.append((self.seq, kind, a, b))
         self.seq += 1
 
     # -- radio --------------------------------------------------------
@@ -214,9 +225,18 @@ class Simulation:
         cfg = self.cfg
         duration = ep.duration
         period = ep.beacon_period
+        latency = ep.delivery_latency
         self._push(ep.injection_time, _INJECT, 0, None)
+        # groups[phase]: the nodes that beacon at phase + latency + k * period;
+        # stamp[node]: the stamp of the node's next beacon
+        groups: list[list[int]] = [[] for _ in range(period)]
+        stamp = [0] * self.n
         for node, phase in enumerate(self.phases):
-            self._push(phase + ep.delivery_latency, _BEACON, node, None)
+            if phase + latency <= duration:
+                groups[phase].append(node)
+                stamp[node] = self.seq
+                self.seq += 1
+        by_stamp = stamp.__getitem__
 
         queue = self.queue
         versions = self.versions
@@ -232,58 +252,71 @@ class Simulation:
         piggyback = cfg.piggyback
         tx = rx = 0  # beacon transmissions, beacon receptions
         for now in range(duration + 1):
-            bucket = queue.get(now)
-            if bucket is None:
-                continue
-            # the list iterator goes by index, so events that a zero
-            # delivery latency appends to this ms run after those before them
-            for kind, node, payload in bucket:
-                # a beacon, periodic (the most frequent event) or pull
-                if kind <= _TX_BEACON:
-                    if kind == _BEACON:
+            group = groups[(now - latency) % period] if now >= latency else ()
+            todo = queue.pop(now, None)
+            if todo is None:
+                todo = group  # most ms: periodic beacons only
+            elif group:
+                # in stamp order: the beacons stamped before an event go ahead of it
+                merged = []
+                i = 0
+                for event in todo:
+                    j = bisect_left(group, event[0], i, key=by_stamp)
+                    merged += group[i:j]
+                    merged.append(event)
+                    i = j
+                merged += group[i:]
+                todo = merged
+            # a beacon of this ms queues the node's next one (one more in seq),
+            # unless that falls after the run
+            refire = now + period <= duration
+            while todo:
+                for item in todo:
+                    periodic = type(item) is int
+                    if periodic:
                         # fired at (now - latency); carries the sender's version
                         # at the delivery tick, where a pull beacon's payload is
                         # the version it was sent with
+                        node = item
+                        kind = _TX_BEACON
                         beacon_sends[node] = beacon_sends.get(node, 0) + 1
                         payload = versions[node] if piggyback else None
-                    receivers = receivers_of(node, now)
-                    tx += 1
-                    if receivers:  # most periodic beacons on sparse layouts: none
-                        rx += len(receivers)
-                        for rcv in receivers:
-                            tokens[rcv], act = beacon_step(cfg, versions[rcv], tokens[rcv], payload)
+                    else:
+                        _, kind, node, payload = item
+                    if kind == _TX_BEACON:
+                        receivers = receivers_of(node, now)
+                        tx += 1
+                        if receivers:  # most periodic beacons on sparse layouts: none
+                            rx += len(receivers)
+                            for rcv in receivers:
+                                tokens[rcv], act = beacon_step(
+                                    cfg, versions[rcv], tokens[rcv], payload
+                                )
+                                if act is not None:
+                                    apply(rcv, now, act)
+                        if periodic:
+                            # the next beacon is stamped behind what the
+                            # receivers queued (latency == period: those run first)
+                            stamp[node] = self.seq
+                            self.seq += refire
+                    elif kind == _TX_SOFTWARE:
+                        for rcv in receivers_of(node, now):
+                            # each delivered copy carries the image's digest
+                            ok = verify(payload, digest_for(payload), rng_corruption, corruption)
+                            versions[rcv], tokens[rcv], act = software_step(
+                                cfg, versions[rcv], tokens[rcv], payload, ok
+                            )
                             if act is not None:
                                 apply(rcv, now, act)
-                    # rescheduled after the receivers: a TX event they schedule
-                    # for the same ms (latency == period) runs before it
-                    if kind == _BEACON:
-                        at = now + period
-                        if at <= duration:  # _push, inlined
-                            nxt = queue.get(at)
-                            if nxt is None:
-                                queue[at] = [(_BEACON, node, None)]
-                            else:
-                                nxt.append((_BEACON, node, None))
-                            self.seq += 1
-                elif kind == _TX_SOFTWARE:
-                    for rcv in receivers_of(node, now):
-                        # each delivered copy carries the image's digest
-                        ok = verify(payload, digest_for(payload), rng_corruption, corruption)
-                        versions[rcv], tokens[rcv], act = software_step(
-                            cfg, versions[rcv], tokens[rcv], payload, ok
-                        )
-                        if act is not None:
-                            apply(rcv, now, act)
-                else:  # _INJECT
-                    target = self.rng_inject.randrange(self.n)
-                    versions[target] = ep.injected_version
-                    tokens[target] = cfg.initial_tokens
-                    self.update_events.append((now, target, ep.injected_version))
-                    if self.record_actions:
-                        self.actions.append((now, target, UpdateLocal(ep.injected_version)))
-            del queue[now]
-            if not queue:
-                break  # only running events schedule new ones
+                    else:  # _INJECT
+                        target = self.rng_inject.randrange(self.n)
+                        versions[target] = ep.injected_version
+                        tokens[target] = cfg.initial_tokens
+                        self.update_events.append((now, target, ep.injected_version))
+                        if self.record_actions:
+                            self.actions.append((now, target, UpdateLocal(ep.injected_version)))
+                # what a zero latency queued for this ms: behind all of the above
+                todo = queue.pop(now, None)
 
         return self._record(tx, rx)
 

@@ -1,8 +1,9 @@
 """Brute-force oracles for the simulator's accelerated paths.
 
 Each one answers the same question as a fast path in the package by
-looking at every node or every contact, or by walking a node one whole
-segment at a time, so tests can compare the two.
+looking at every node or every contact, by walking a node one whole
+segment at a time, or by queueing every periodic beacon as an event, so
+tests can compare the two.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import math
 import random
 
+from gossim import engine
 from gossim.core import NodeId
 from gossim.mobility import AreaRect, ContactTrace, MobilityParams
+from gossim.protocols import UpdateLocal, on_beacon, on_software
 from gossim.radio import RadioParams, delivery_probability
 
 
@@ -100,3 +103,66 @@ def walk(
         else:
             out.append((x, y))
     return out
+
+
+_PERIODIC = 0  # a periodic beacon, as a queued event
+
+
+class ReferenceSimulation(engine.Simulation):
+    """The engine with every periodic beacon pushed through the queue.
+
+    Each beacon is an event that queues the node's next one once its
+    receivers have queued theirs; every ms runs its events in push order.
+    This is the plain statement of the order that `Simulation.run` keeps
+    with its static schedule, and of the events that `seq` counts.
+    """
+
+    def run(self):
+        ep = self.ep
+        cfg = self.cfg
+        self._push(ep.injection_time, engine._INJECT, 0, None)
+        for node, phase in enumerate(self.phases):
+            self._push(phase + ep.delivery_latency, _PERIODIC, node, None)
+        receivers_of = self._radio_receivers if self.trace is None else self.trace.partners
+        versions = self.versions
+        tokens = self.tokens
+        tx = rx = 0
+        for now in range(ep.duration + 1):
+            bucket = self.queue.get(now)
+            if bucket is None:
+                continue
+            # events that a zero latency queues for this ms join its list
+            for _, kind, node, payload in bucket:
+                if kind == _PERIODIC or kind == engine._TX_BEACON:
+                    if kind == _PERIODIC:
+                        self.beacon_sends[node] = self.beacon_sends.get(node, 0) + 1
+                        payload = versions[node] if cfg.piggyback else None
+                    receivers = receivers_of(node, now)
+                    tx += 1
+                    rx += len(receivers)
+                    for rcv in receivers:
+                        tokens[rcv], act = on_beacon(cfg, versions[rcv], tokens[rcv], payload)
+                        if act is not None:
+                            self._apply(rcv, now, act)
+                    if kind == _PERIODIC:
+                        self._push(now + ep.beacon_period, _PERIODIC, node, None)
+                elif kind == engine._TX_SOFTWARE:
+                    for rcv in receivers_of(node, now):
+                        ok = engine.verify_digest(
+                            payload, engine.digest_for(payload),
+                            self.rng_corruption, ep.corruption_probability,
+                        )
+                        versions[rcv], tokens[rcv], act = on_software(
+                            cfg, versions[rcv], tokens[rcv], payload, ok
+                        )
+                        if act is not None:
+                            self._apply(rcv, now, act)
+                else:  # engine._INJECT
+                    target = self.rng_inject.randrange(self.n)
+                    versions[target] = ep.injected_version
+                    tokens[target] = cfg.initial_tokens
+                    self.update_events.append((now, target, ep.injected_version))
+                    if self.record_actions:
+                        self.actions.append((now, target, UpdateLocal(ep.injected_version)))
+            del self.queue[now]
+        return self._record(tx, rx)

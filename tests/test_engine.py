@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import random
@@ -15,7 +16,7 @@ from gossim.metrics import convergence_series
 from gossim.mobility import AreaRect, MobilityParams, TRACE_HEADER
 from gossim.radio import RadioParams
 
-from oracles import sample_receivers
+from oracles import ReferenceSimulation, sample_receivers
 
 
 def tiny_spec(nodes=5, side=8.0, protocol=None, seed=0, duration=4000):
@@ -165,13 +166,25 @@ class TestConservation:
             assert all(count <= 2 for count in per.values())
 
 
-def _protocol_and_corruption(draw):
+def _engine_params(draw, duration):
+    """A protocol and engine timings for a run of `duration` ms."""
     name = draw(st.sampled_from(sorted(protocols.BY_NAME)))
     protocol = protocols.from_name(name, draw(st.integers(1, 3)))
     # fp answers every copy, corrupted or not, so corruption makes its
     # re-request traffic grow without bound (README, Known limitations)
     corruption = 0.0 if name == "fp" else draw(st.sampled_from([0.0, 0.25]))
-    return protocol, corruption
+    period = draw(st.integers(5, 200))
+    # a latency equal to the period queues a beacon's receivers and its
+    # next beacon in the same ms; above it, a node's beacons overlap in flight
+    latency = draw(st.one_of(st.integers(0, 250), st.just(period), st.just(0)))
+    engine = EngineParams(
+        beacon_period=period,
+        delivery_latency=latency,
+        duration=duration,
+        injection_time=draw(st.integers(0, duration - 1)),
+        corruption_probability=corruption,
+    )
+    return protocol, engine
 
 
 def _assert_invariants(rec, protocol, engine):
@@ -187,9 +200,18 @@ def _assert_invariants(rec, protocol, engine):
     assert times[0] == engine.injection_time
 
 
+def _assert_matches_reference(spec):
+    # the static beacon schedule runs the same events in the same order
+    # as queueing every beacon: same record, same actions, same count
+    sim = Simulation(spec, record_actions=True)
+    ref = ReferenceSimulation(spec, record_actions=True)
+    assert sim.run() == ref.run()
+    assert sim.seq == ref.seq
+
+
 @st.composite
 def _trace_runs(draw):
-    """A small random contact trace and a spec that replays it."""
+    """A small random contact trace and how to replay it."""
     duration = draw(st.integers(min_value=200, max_value=4000))
     rows = draw(
         st.lists(
@@ -204,47 +226,45 @@ def _trace_runs(draw):
         )
     )
     contacts = [(t0, t0 + length, a, (a + b) % 6) for t0, length, a, b in rows]
-    protocol, corruption = _protocol_and_corruption(draw)
-    engine = EngineParams(
-        beacon_period=draw(st.integers(10, 200)),
-        delivery_latency=draw(st.integers(0, 20)),
-        duration=duration,
-        injection_time=draw(st.integers(0, duration - 1)),
-        corruption_probability=corruption,
-    )
+    protocol, engine = _engine_params(draw, duration)
     return contacts, protocol, engine, draw(st.integers(0, 2**16))
+
+
+@contextlib.contextmanager
+def _replayed(case):
+    """The spec that replays a drawn trace, while its file exists."""
+    contacts, protocol, engine, seed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text(
+            "\n".join([",".join(TRACE_HEADER)] + [",".join(map(str, c)) for c in contacts])
+            + "\n"
+        )
+        yield dataclasses.replace(
+            scenarios.trace_scenario(str(path), protocol, seed=seed), engine=engine
+        )
 
 
 class TestTraceProperties:
     @given(_trace_runs())
     @settings(max_examples=60, deadline=None)
     def test_engine_invariants(self, case):
-        contacts, protocol, engine, seed = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "trace.csv"
-            path.write_text(
-                "\n".join([",".join(TRACE_HEADER)] + [",".join(map(str, c)) for c in contacts])
-                + "\n"
-            )
-            spec = dataclasses.replace(
-                scenarios.trace_scenario(str(path), protocol, seed=seed), engine=engine
-            )
+        with _replayed(case) as spec:
             rec = run(spec)
-        _assert_invariants(rec, protocol, engine)
+        _assert_invariants(rec, spec.protocol, spec.engine)
+
+    @given(_trace_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_scheduler(self, case):
+        with _replayed(case) as spec:
+            _assert_matches_reference(spec)
 
 
 @st.composite
 def _geometric_runs(draw):
     """A small random cluster layout and a short run over it."""
     duration = draw(st.integers(min_value=200, max_value=3000))
-    protocol, corruption = _protocol_and_corruption(draw)
-    engine = EngineParams(
-        beacon_period=draw(st.integers(10, 200)),
-        delivery_latency=draw(st.integers(0, 20)),
-        duration=duration,
-        injection_time=draw(st.integers(0, duration - 1)),
-        corruption_probability=corruption,
-    )
+    protocol, engine = _engine_params(draw, duration)
     spec = tiny_spec(
         nodes=draw(st.integers(1, 12)),
         side=draw(st.floats(2.0, 30.0)),
@@ -259,6 +279,11 @@ class TestGeometricProperties:
     @settings(max_examples=40, deadline=None)
     def test_engine_invariants(self, spec):
         _assert_invariants(run(spec), spec.protocol, spec.engine)
+
+    @given(_geometric_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_scheduler(self, spec):
+        _assert_matches_reference(spec)
 
     @given(
         nodes=st.integers(1, 30),
