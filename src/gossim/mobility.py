@@ -147,15 +147,25 @@ class ContactInterval:
 
 @dataclass
 class ContactTrace:
+    """A replayed contact trace; `partners` answers who is in contact when.
+
+    Each node keeps a forward cursor over its contacts (sorted by start):
+    `(t, hi, nxt, live, found)`, where `t` is the last time it scanned,
+    `nxt` the index of the first contact that had not started by `t`,
+    `live` the contacts in progress at `t`, `found` their sorted partners
+    and `hi` the first later time at which one of them ends or the next
+    one starts.  The partner set is constant over `[t, hi)`.
+    """
+
     intervals: list[ContactInterval]
     # node -> its (t_start, t_end, other node) contacts, sorted by start
     _by_node: dict[NodeId, list[tuple[int, int, NodeId]]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    # node -> (lo, hi, partners) of the last piece `partners` scanned
-    _memo: dict[NodeId, tuple[float, float, list[NodeId]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    # node -> its cursor (t, hi, nxt, live, found)
+    _memo: dict[
+        NodeId, tuple[float, float, int, list[tuple[int, int, NodeId]], list[NodeId]]
+    ] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.intervals = sorted(
@@ -172,35 +182,33 @@ class ContactTrace:
     def partners(self, node: NodeId, t: float) -> list[NodeId]:
         """Nodes in contact with `node` at time t (half-open intervals).
 
-        Returns a new sorted list.  Each node remembers the piece
-        [lo, hi) around its last scanned t: the stretch that holds no
-        start or end of any of its intervals, so its partner set is
-        constant there.  A query inside that piece copies the answer; any
-        other query rescans and replaces the piece.  Queries may come in
-        any order of t.
+        Returns a new sorted list.  A query inside the node's cursor piece
+        copies its answer; a later one moves the cursor forward, adding
+        the contacts that have started and dropping those that have ended;
+        an earlier one starts it again from the first contact, so queries
+        may come in any order of t.
         """
-        memo = self._memo.get(node)
-        if memo is not None and memo[0] <= t < memo[1]:
-            return memo[2][:]
-        lo = -math.inf
-        hi = math.inf
-        out = set()
-        for start, end, other in self._by_node.get(node, ()):
-            if start > t:
-                # each node's contacts are sorted by start
-                if start < hi:
-                    hi = start
-                break
-            if start > lo:
-                lo = start
-            if t < end:
-                out.add(other)
-                if end < hi:
-                    hi = end
-            elif end > lo:
-                lo = end
-        found = sorted(out)
-        self._memo[node] = (lo, hi, found)
+        cursor = self._memo.get(node)
+        if cursor is not None and cursor[0] <= t < cursor[1]:
+            return cursor[4][:]
+        contacts = self._by_node.get(node, ())
+        if cursor is None or t < cursor[0]:
+            nxt = 0
+            live = []
+        else:
+            nxt = cursor[2]
+            live = [c for c in cursor[3] if c[1] > t]
+        count = len(contacts)
+        while nxt < count and contacts[nxt][0] <= t:
+            if contacts[nxt][1] > t:
+                live.append(contacts[nxt])
+            nxt += 1
+        hi = contacts[nxt][0] if nxt < count else math.inf
+        for c in live:
+            if c[1] < hi:
+                hi = c[1]
+        found = sorted({c[2] for c in live})
+        self._memo[node] = (t, hi, nxt, live, found)
         return found[:]
 
 

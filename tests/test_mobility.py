@@ -211,7 +211,7 @@ class TestContactTrace:
             )
             got = tr.partners(node, t)
             assert got == expected, (node, t)
-            got.append(-1)  # the caller owns the list; the memo must not change
+            got.append(-1)  # the caller owns the list; the cursor must not change
 
     def test_node_count(self):
         assert self._trace().node_count == 3
