@@ -94,6 +94,13 @@ def _cmd_compare(args) -> int:
             else [None]
         )
     ]
+    labels = [label for label, _ in cells]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        # the same cell twice would write its rows twice and its file over itself
+        raise ConfigError(f"repeated protocol cells: {', '.join(repeated)}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     # flooding first so it can serve as the savings baseline per seed
     cells.sort(key=lambda c: c[1].name != "fp")
 

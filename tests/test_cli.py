@@ -151,6 +151,24 @@ class TestCompare:
                      "--tokens-list", "2,0", "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seeds_fails_before_any_output(self, tiny_cfg, tmp_path, seeds):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", tiny_cfg, "--protocols", "pbp",
+                     "--seeds", seeds, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "protocols, tokens", [("gcp,gcp", "2"), ("fcp", "2,2"), ("fp,pbp,fp", "")]
+    )
+    def test_repeated_cell_fails_before_any_output(self, tiny_cfg, tmp_path, capsys,
+                                                   protocols, tokens):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", tiny_cfg, "--protocols", protocols,
+                     "--tokens-list", tokens, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "repeated protocol cells" in capsys.readouterr().err
+
     def test_sweep_alias(self, tiny_cfg, tmp_path):
         code = main([
             "sweep", "--scenario", tiny_cfg, "--protocols", "pbp",
