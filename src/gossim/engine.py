@@ -258,15 +258,18 @@ class Simulation:
                 todo = group  # most ms: periodic beacons only
             elif group:
                 # in stamp order: the beacons stamped before an event go ahead of it
-                merged = []
-                i = 0
-                for event in todo:
-                    j = bisect_left(group, event[0], i, key=by_stamp)
-                    merged += group[i:j]
-                    merged.append(event)
-                    i = j
-                merged += group[i:]
-                todo = merged
+                if stamp[group[-1]] < todo[0][0]:
+                    todo = group + todo  # all of them: the usual case, latency < period
+                else:
+                    merged = []
+                    i = 0
+                    for event in todo:
+                        j = bisect_left(group, event[0], i, key=by_stamp)
+                        merged += group[i:j]
+                        merged.append(event)
+                        i = j
+                    merged += group[i:]
+                    todo = merged
             # a beacon of this ms queues the node's next one (one more in seq),
             # unless that falls after the run
             refire = now + period <= duration
