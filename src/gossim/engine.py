@@ -5,23 +5,16 @@ FIFO per ms (events at equal timestamps run in the order they were
 scheduled), and named random substreams so that one subsystem's draws
 never perturb another's.
 
-Periodic beacons follow a static schedule: node i beacons at
-phase[i] + latency + k * period, so the nodes that share a phase form a
-group that fires together, in node order.  Only the injection and the
-transmissions that protocol actions make go through the calendar queue
-of integer-ms buckets.  Each queued event carries its stamp, the value
-of `seq` when it was pushed; a periodic beacon's stamp is the value of
-`seq` when the node's previous beacon had finished, receivers included,
-which is when a loop that queued every beacon would have queued it.  A
-ms runs its group and its bucket merged in stamp order, so the order is
-the same as with every beacon queued, and `seq` counts those beacons too.
+Every event goes through one calendar queue of integer-ms buckets, and
+each ms runs its bucket in push order.  A periodic beacon is queued as
+its bare node id; once its receivers have acted, it queues the node's
+next beacon one period later.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import mobility as mob
@@ -30,7 +23,8 @@ from .metrics import RunRecord
 from .protocols import SendBeacon, SendSoftware, UpdateLocal, on_beacon, on_software
 from .radio import SpatialGrid, delivery_probability
 
-# queued event kinds; events run in time order, FIFO within one ms
+# queued event kinds (a periodic beacon is a bare node id instead);
+# events run in time order, FIFO within one ms
 _TX_BEACON = 1  # pull beacon emitted by a protocol action
 _TX_SOFTWARE = 2
 _INJECT = 3
@@ -158,8 +152,9 @@ class Simulation:
         self.beacon_sends: dict[int, int] = {}
         self.actions: list[tuple] = []
 
-        # calendar queue: ms -> events (stamp, kind, node, payload) in push order
-        self.queue: dict[int, list[tuple]] = {}
+        # calendar queue: ms -> events in push order, each a periodic
+        # beacon's node id or a (kind, node, payload) tuple
+        self.queue: dict[int, list] = {}
         self.seq = 0  # events scheduled, periodic beacons included
 
     # -- scheduling ---------------------------------------------------
@@ -169,9 +164,9 @@ class Simulation:
             return
         bucket = self.queue.get(at)
         if bucket is None:
-            self.queue[at] = [(self.seq, kind, a, b)]
+            self.queue[at] = [(kind, a, b)]
         else:
-            bucket.append((self.seq, kind, a, b))
+            bucket.append((kind, a, b))
         self.seq += 1
 
     # -- radio --------------------------------------------------------
@@ -221,24 +216,21 @@ class Simulation:
     # -- main loop ------------------------------------------------------
 
     def run(self) -> RunRecord:
+        # the injection is always queued, so seq > 0 once a run has started
+        if self.seq:
+            raise RuntimeError("a Simulation runs once; build a new one for another run")
         ep = self.ep
         cfg = self.cfg
         duration = ep.duration
         period = ep.beacon_period
-        latency = ep.delivery_latency
-        self._push(ep.injection_time, _INJECT, 0, None)
-        # groups[phase]: the nodes that beacon at phase + latency + k * period;
-        # stamp[node]: the stamp of the node's next beacon
-        groups: list[list[int]] = [[] for _ in range(period)]
-        stamp = [0] * self.n
-        for node, phase in enumerate(self.phases):
-            if phase + latency <= duration:
-                groups[phase].append(node)
-                stamp[node] = self.seq
-                self.seq += 1
-        by_stamp = stamp.__getitem__
-
         queue = self.queue
+        self._push(ep.injection_time, _INJECT, 0, None)
+        for node, phase in enumerate(self.phases):
+            at = phase + ep.delivery_latency
+            if at <= duration:
+                queue.setdefault(at, []).append(node)
+                self.seq += 1
+
         versions = self.versions
         tokens = self.tokens
         beacon_sends = self.beacon_sends
@@ -252,74 +244,62 @@ class Simulation:
         piggyback = cfg.piggyback
         tx = rx = 0  # beacon transmissions, beacon receptions
         for now in range(duration + 1):
-            group = groups[(now - latency) % period] if now >= latency else ()
-            todo = queue.pop(now, None)
+            todo = queue.get(now)
             if todo is None:
-                todo = group  # most ms: periodic beacons only
-            elif group:
-                # in stamp order: the beacons stamped before an event go ahead of it
-                if stamp[group[-1]] < todo[0][0]:
-                    todo = group + todo  # all of them: the usual case, latency < period
-                else:
-                    merged = []
-                    i = 0
-                    for event in todo:
-                        j = bisect_left(group, event[0], i, key=by_stamp)
-                        merged += group[i:j]
-                        merged.append(event)
-                        i = j
-                    merged += group[i:]
-                    todo = merged
-            # a beacon of this ms queues the node's next one (one more in seq),
+                continue
+            # where a periodic beacon of this ms queues the node's next one,
             # unless that falls after the run
-            refire = now + period <= duration
-            while todo:
-                for item in todo:
-                    periodic = type(item) is int
-                    if periodic:
-                        # fired at (now - latency); carries the sender's version
-                        # at the delivery tick, where a pull beacon's payload is
-                        # the version it was sent with
-                        node = item
-                        kind = _TX_BEACON
-                        beacon_sends[node] = beacon_sends.get(node, 0) + 1
-                        payload = versions[node] if piggyback else None
-                    else:
-                        _, kind, node, payload = item
-                    if kind == _TX_BEACON:
-                        receivers = receivers_of(node, now)
-                        tx += 1
-                        if receivers:  # most periodic beacons on sparse layouts: none
-                            rx += len(receivers)
-                            for rcv in receivers:
-                                tokens[rcv], act = beacon_step(
-                                    cfg, versions[rcv], tokens[rcv], payload
-                                )
-                                if act is not None:
-                                    apply(rcv, now, act)
-                        if periodic:
-                            # the next beacon is stamped behind what the
-                            # receivers queued (latency == period: those run first)
-                            stamp[node] = self.seq
-                            self.seq += refire
-                    elif kind == _TX_SOFTWARE:
-                        for rcv in receivers_of(node, now):
-                            # each delivered copy carries the image's digest
-                            ok = verify(payload, digest_for(payload), rng_corruption, corruption)
-                            versions[rcv], tokens[rcv], act = software_step(
-                                cfg, versions[rcv], tokens[rcv], payload, ok
+            later = now + period
+            refire = later <= duration
+            # events that a zero latency queues for this ms join the list
+            for item in todo:
+                periodic = type(item) is int
+                if periodic:
+                    # fired at (now - latency); carries the sender's version
+                    # at the delivery tick, where a pull beacon's payload is
+                    # the version it was sent with
+                    node = item
+                    kind = _TX_BEACON
+                    beacon_sends[node] = beacon_sends.get(node, 0) + 1
+                    payload = versions[node] if piggyback else None
+                else:
+                    kind, node, payload = item
+                if kind == _TX_BEACON:
+                    receivers = receivers_of(node, now)
+                    tx += 1
+                    if receivers:  # most periodic beacons on sparse layouts: none
+                        rx += len(receivers)
+                        for rcv in receivers:
+                            tokens[rcv], act = beacon_step(
+                                cfg, versions[rcv], tokens[rcv], payload
                             )
                             if act is not None:
                                 apply(rcv, now, act)
-                    else:  # _INJECT
-                        target = self.rng_inject.randrange(self.n)
-                        versions[target] = ep.injected_version
-                        tokens[target] = cfg.initial_tokens
-                        self.update_events.append((now, target, ep.injected_version))
-                        if self.record_actions:
-                            self.actions.append((now, target, UpdateLocal(ep.injected_version)))
-                # what a zero latency queued for this ms: behind all of the above
-                todo = queue.pop(now, None)
+                    if periodic and refire:
+                        # behind what the receivers queued
+                        bucket = queue.get(later)
+                        if bucket is None:
+                            queue[later] = [node]
+                        else:
+                            bucket.append(node)
+                        self.seq += 1
+                elif kind == _TX_SOFTWARE:
+                    for rcv in receivers_of(node, now):
+                        # each delivered copy carries the image's digest
+                        ok = verify(payload, digest_for(payload), rng_corruption, corruption)
+                        versions[rcv], tokens[rcv], act = software_step(
+                            cfg, versions[rcv], tokens[rcv], payload, ok
+                        )
+                        if act is not None:
+                            apply(rcv, now, act)
+                else:  # _INJECT
+                    target = self.rng_inject.randrange(self.n)
+                    versions[target] = ep.injected_version
+                    tokens[target] = cfg.initial_tokens
+                    self.update_events.append((now, target, ep.injected_version))
+                    if self.record_actions:
+                        self.actions.append((now, target, UpdateLocal(ep.injected_version)))
+            del queue[now]
 
         return self._record(tx, rx)
 

@@ -109,12 +109,13 @@ _PERIODIC = 0  # a periodic beacon, as a queued event
 
 
 class ReferenceSimulation(engine.Simulation):
-    """The engine with every periodic beacon pushed through the queue.
+    """The engine with every periodic beacon a tuple event from `_push`.
 
     Each beacon is an event that queues the node's next one once its
     receivers have queued theirs; every ms runs its events in push order.
     This is the plain statement of the order that `Simulation.run` keeps
-    with its static schedule, and of the events that `seq` counts.
+    with bare node ids in the same queue, and of the events that `seq`
+    counts.
     """
 
     def run(self):
@@ -132,7 +133,7 @@ class ReferenceSimulation(engine.Simulation):
             if bucket is None:
                 continue
             # events that a zero latency queues for this ms join its list
-            for _, kind, node, payload in bucket:
+            for kind, node, payload in bucket:
                 if kind == _PERIODIC or kind == engine._TX_BEACON:
                     if kind == _PERIODIC:
                         self.beacon_sends[node] = self.beacon_sends.get(node, 0) + 1

@@ -92,6 +92,23 @@ class TestDeterminism:
         for m_a, m_b in zip(sims[0].motions, sims[1].motions):
             assert m_a.position_at(2500) == m_b.position_at(2500)
 
+    @pytest.mark.parametrize("mode", ["geometric", "trace"])
+    def test_second_run_raises_before_touching_state(self, tmp_path, mode):
+        if mode == "trace":
+            path = tmp_path / "pair.csv"
+            path.write_text(",".join(TRACE_HEADER) + "\n0,4000,0,1\n")
+            spec = scenarios.trace_scenario(str(path), protocols.gcp(2), seed=3)
+        else:
+            spec = tiny_spec(seed=3)
+        sim = Simulation(spec)
+        first = sim.run()
+        seq = sim.seq
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run()
+        # the first record and the event count are what a fresh run gives
+        assert sim.seq == seq
+        assert first == run(spec)
+
 
 @pytest.mark.parametrize(
     "protocol, tokens", [(protocols.fp(), 1), (protocols.gcp(3), 3)], ids=["fp", "gcp3"]
@@ -201,8 +218,9 @@ def _assert_invariants(rec, protocol, engine):
 
 
 def _assert_matches_reference(spec):
-    # the static beacon schedule runs the same events in the same order
-    # as queueing every beacon: same record, same actions, same count
+    # queueing each beacon as a bare node id runs the same events in the
+    # same order as the plain reference loop: same record, same actions,
+    # same count
     sim = Simulation(spec, record_actions=True)
     ref = ReferenceSimulation(spec, record_actions=True)
     assert sim.run() == ref.run()
