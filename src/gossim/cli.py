@@ -80,6 +80,8 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     spec = _load_scenario(args.scenario, args.scale)
     names = [p.strip() for p in args.protocols.split(",") if p.strip()]
+    if not names:
+        raise ConfigError(f"--protocols names no protocol: {args.protocols!r}")
     raw_tokens = args.tokens_list.split(",") if args.tokens_list else []
     tokens_list = [_int(t, "--tokens-list") for t in raw_tokens]
     # every cell's config is built before the first run, so a bad name or

@@ -20,6 +20,8 @@ class AreaRect:
     y_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
+            raise ValueError("area bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate area rectangle")
 

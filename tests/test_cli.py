@@ -158,6 +158,15 @@ class TestCompare:
                      "--seeds", seeds, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("protocols", [",", "", " , "])
+    def test_no_protocols_fails_before_any_output(self, tiny_cfg, tmp_path, capsys,
+                                                  protocols):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", tiny_cfg, "--protocols", protocols,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "--protocols names no protocol" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "protocols, tokens", [("gcp,gcp", "2"), ("fcp", "2,2"), ("fp,pbp,fp", "")]
     )

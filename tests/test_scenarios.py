@@ -152,6 +152,13 @@ class TestParse:
         with pytest.raises(ConfigError, match="area"):
             parse("[cluster]\nnodes = 2\narea = 0 0 9\n")
 
+    @pytest.mark.parametrize(
+        "area", ["0 0 inf 10", "-inf 0 0 10", "0 -Infinity 10 10", "0 0 10 nan"]
+    )
+    def test_area_bounds_must_be_finite(self, area):
+        with pytest.raises(ConfigError, match=r"^line 3: area bounds must be finite$"):
+            parse(f"[cluster]\nnodes = 2\narea = {area}\n")
+
     def test_multiple_clusters(self):
         spec = parse(
             "[cluster]\nnodes = 2\narea = 0 0 9 9\n"
