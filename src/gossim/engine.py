@@ -251,6 +251,9 @@ class Simulation:
             # unless that falls after the run
             later = now + period
             refire = later <= duration
+            # that bucket, held from this ms's first such beacon on: a push
+            # there appends to the same list
+            later_bucket = None
             # events that a zero latency queues for this ms join the list
             for item in todo:
                 periodic = type(item) is int
@@ -277,11 +280,9 @@ class Simulation:
                                 apply(rcv, now, act)
                     if periodic and refire:
                         # behind what the receivers queued
-                        bucket = queue.get(later)
-                        if bucket is None:
-                            queue[later] = [node]
-                        else:
-                            bucket.append(node)
+                        if later_bucket is None:
+                            later_bucket = queue.setdefault(later, [])
+                        later_bucket.append(node)
                         self.seq += 1
                 elif kind == _TX_SOFTWARE:
                     for rcv in receivers_of(node, now):
