@@ -20,6 +20,9 @@ from .radio import RadioParams, delivery_probability
 
 DESK_SEEDS = tuple(range(100, 110))
 TOKEN_GRID = (2, 3, 5)
+FP, PBP, FCP5, GCP5 = protocols.fp(), protocols.pbp(), protocols.fcp(5), protocols.gcp(5)
+# the full protocol grid of the desk batch, in run order
+CELLS = (FP, PBP) + tuple(p(k) for p in (protocols.fcp, protocols.gcp) for k in TOKEN_GRID)
 
 
 @dataclass
@@ -34,32 +37,22 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid}: {self.name} -- {self.detail}"
 
 
-def _desk_spec(name: str, protocol, seed: int, duration=None) -> scenarios.ScenarioSpec:
-    spec = scenarios.desk_scale(scenarios.builtin(name, protocol, seed=seed))
+def _desk_spec(name: str, duration=None) -> scenarios.ScenarioSpec:
+    spec = scenarios.desk_scale(scenarios.builtin(name))
     if duration is not None:
         spec = replace(spec, engine=replace(spec.engine, duration=duration))
     return spec
 
 
 @functools.cache
-def _run(spec: scenarios.ScenarioSpec) -> metrics.RunRecord:
-    return engine.run(spec)
-
-
-def _batch(scenario: str) -> dict[tuple[str, int | None, int], metrics.RunRecord]:
+def _batch(scenario: str) -> dict[tuple[protocols.ProtocolConfig, int], metrics.RunRecord]:
     """Matched-seed desk runs over the full protocol grid."""
-    out = {}
-    for seed in DESK_SEEDS:
-        for name, k in [("fp", None), ("pbp", None)] + [
-            (n, k) for n in ("fcp", "gcp") for k in TOKEN_GRID
-        ]:
-            out[(name, k, seed)] = _run(_desk_spec(scenario, protocols.from_name(name, k), seed))
-    return out
+    return engine.run_grid(_desk_spec(scenario), CELLS, DESK_SEEDS)
 
 
-def _mean(batch, name: str, k: int | None, of=metrics.RunRecord.total_software_sends) -> float:
+def _mean(batch, cfg, of=metrics.RunRecord.total_software_sends) -> float:
     """Mean of `of(record)` over the desk seeds of one protocol cell."""
-    return mean(of(batch[(name, k, s)]) for s in DESK_SEEDS)
+    return mean(of(batch[(cfg, s)]) for s in DESK_SEEDS)
 
 
 def _t90(rec: metrics.RunRecord) -> int:
@@ -78,9 +71,10 @@ def criterion_1_token_cap() -> CriterionResult:
     ok = True
     for scenario in ("c9", "c9-social"):
         batch = _batch(scenario)
-        for (name, k, seed), rec in batch.items():
-            if k is None:
+        for (cfg, seed), rec in batch.items():
+            if not cfg.token_control:
                 continue
+            name, k = cfg.name, cfg.initial_tokens
             cap_total = k if name == "gcp" else 2 * k
             for node in range(rec.n_nodes):
                 per = rec.software_sends.get(node, {})
@@ -165,18 +159,15 @@ def criterion_4_speed_ordering() -> CriterionResult:
         batch = _batch(scenario)
         total += len(batch)
         censored += sum(_t90(rec) == rec.duration_ms for rec in batch.values())
-        m = lambda name, k=None: _mean(batch, name, k, of=_t90)
-        if m("fp") > m("pbp"):
-            problems.append(f"{scenario}: fp {m('fp'):.0f} > pbp {m('pbp'):.0f}")
-        if abs(m("pbp") - m("gcp", 5)) > 0.2 * m("gcp", 5):
-            problems.append(
-                f"{scenario}: pbp {m('pbp'):.0f} not within 20% of gcp5 {m('gcp', 5):.0f}"
-            )
+        fp, pbp, gcp5 = (_mean(batch, cfg, of=_t90) for cfg in (FP, PBP, GCP5))
+        if fp > pbp:
+            problems.append(f"{scenario}: fp {fp:.0f} > pbp {pbp:.0f}")
+        if abs(pbp - gcp5) > 0.2 * gcp5:
+            problems.append(f"{scenario}: pbp {pbp:.0f} not within 20% of gcp5 {gcp5:.0f}")
         for k in TOKEN_GRID:
-            if m("gcp", k) > m("fcp", k):
-                problems.append(
-                    f"{scenario}: gcp({k}) {m('gcp', k):.0f} > fcp({k}) {m('fcp', k):.0f}"
-                )
+            gcp, fcp = (_mean(batch, p(k), of=_t90) for p in (protocols.gcp, protocols.fcp))
+            if gcp > fcp:
+                problems.append(f"{scenario}: gcp({k}) {gcp:.0f} > fcp({k}) {fcp:.0f}")
     ok = not problems
     detail = (
         f"mean t90 orderings hold ({censored}/{total} runs censored at duration)"
@@ -189,15 +180,11 @@ def criterion_4_speed_ordering() -> CriterionResult:
 def criterion_5_savings(scale: str = "paper") -> CriterionResult:
     if scale == "paper":
         seeds = (1, 2, 3)
-        fcp_vals, gcp_vals = [], []
-        for seed in seeds:
-            recs = {
-                name: _run(scenarios.builtin("c9-social", protocols.from_name(name, k), seed=seed))
-                for name, k in (("fp", None), ("fcp", 5), ("gcp", 5))
-            }
-            fcp_vals.append(metrics.savings(recs["fcp"], recs["fp"]))
-            gcp_vals.append(metrics.savings(recs["gcp"], recs["fp"]))
-        fcp_s, gcp_s = mean(fcp_vals), mean(gcp_vals)
+        recs = engine.run_grid(scenarios.builtin("c9-social"), (FP, FCP5, GCP5), seeds)
+        fcp_s, gcp_s = (
+            mean(metrics.savings(recs[(cfg, s)], recs[(FP, s)]) for s in seeds)
+            for cfg in (FCP5, GCP5)
+        )
         ok = 77.0 <= fcp_s <= 98.0 and gcp_s >= 95.0
         return CriterionResult(
             5, "message savings (paper scale)", ok,
@@ -205,9 +192,7 @@ def criterion_5_savings(scale: str = "paper") -> CriterionResult:
             f"gcp(5)={gcp_s:.2f}% (want >=95)",
         )
     batch = _batch("c9-social")
-    fp_t, fcp_t, gcp_t = (
-        _mean(batch, name, k) for name, k in (("fp", None), ("fcp", 5), ("gcp", 5))
-    )
+    fp_t, fcp_t, gcp_t = (_mean(batch, cfg) for cfg in (FP, FCP5, GCP5))
     ok = gcp_t <= fcp_t and 3.0 * fcp_t <= fp_t
     return CriterionResult(
         5, "message savings (desk fallback)", ok,
@@ -217,10 +202,7 @@ def criterion_5_savings(scale: str = "paper") -> CriterionResult:
 
 def criterion_6_load_ordering() -> CriterionResult:
     batch = _batch("c9-social")
-    fp_t, pbp_t, fcp_t, gcp_t = (
-        _mean(batch, name, k)
-        for name, k in (("fp", None), ("pbp", None), ("fcp", 5), ("gcp", 5))
-    )
+    fp_t, pbp_t, fcp_t, gcp_t = (_mean(batch, cfg) for cfg in (FP, PBP, FCP5, GCP5))
     problems = []
     if not fp_t > 10.0 * pbp_t:
         problems.append(f"fp {fp_t:.1f} not > 10x pbp {pbp_t:.1f}")
@@ -239,18 +221,16 @@ def criterion_6_load_ordering() -> CriterionResult:
 def criterion_7_fp_load_law() -> CriterionResult:
     batch = _batch("c9")
     eq_ok = all(
-        batch[("fp", None, s)].total_software_sends()
-        == batch[("fp", None, s)].beacon_receptions
+        batch[(FP, s)].total_software_sends() == batch[(FP, s)].beacon_receptions
         for s in DESK_SEEDS
     )
     # linearity needs a dense workload so receptions concentrate
-    short = sum(
-        _run(_desk_spec("c1", protocols.fp(), seed=s, duration=10_000)).total_software_sends()
-        for s in (100, 101, 102)
-    )
-    long = sum(
-        _run(_desk_spec("c1", protocols.fp(), seed=s, duration=20_000)).total_software_sends()
-        for s in (100, 101, 102)
+    short, long = (
+        sum(
+            rec.total_software_sends()
+            for rec in engine.run_grid(_desk_spec("c1", d), (FP,), (100, 101, 102)).values()
+        )
+        for d in (10_000, 20_000)
     )
     if short == 0:
         return CriterionResult(7, "fp load law", False, "no sends in short runs")
@@ -357,9 +337,9 @@ def criterion_10_convergence_shape() -> CriterionResult:
     )
     checked = []
     for spec in [dense] + [
-        _desk_spec(n, protocols.fp(), seed=23) for n in scenarios.BUILTIN_NAMES
+        replace(_desk_spec(n), protocol=FP, seed=23) for n in scenarios.BUILTIN_NAMES
     ]:
-        rec = _run(spec)
+        rec = engine.run(spec)
         injected = rec.update_events[0][1]
         if not _eventually_connected(spec, injected):
             continue  # not a connected scenario within this run
@@ -371,7 +351,7 @@ def criterion_10_convergence_shape() -> CriterionResult:
     trace_spec = scenarios.trace_scenario(
         scenarios.sample_trace_path(), protocols.fp(), seed=23
     )
-    trec = _run(trace_spec)
+    trec = engine.run(trace_spec)
     tfinal = metrics.convergence_series(trec, 1)[-1][1]
     checked.append("trace")
     if tfinal != trec.n_nodes:

@@ -103,28 +103,23 @@ def _cmd_compare(args) -> int:
         raise ConfigError(f"repeated protocol cells: {', '.join(repeated)}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-    # flooding first so it can serve as the savings baseline per seed
+    # flooding first: its rows lead each seed, and its run of that seed
+    # is the savings baseline of the other cells
     cells.sort(key=lambda c: c[1].name != "fp")
 
     base_seed = _seed(args, spec)
+    seeds = range(base_seed, base_seed + args.seeds)
+    records = engine.run_grid(spec, [cfg for _, cfg in cells], seeds)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i in range(args.seeds):
-        seed = base_seed + i
-        baseline = None
+    for seed in seeds:
         for label, cfg in cells:
-            rec = engine.run(replace(spec, protocol=cfg, seed=seed))
-            flooding = cfg.name == "fp"
-            if flooding:
-                baseline = rec
+            rec = records[(cfg, seed)]
             series = metrics.convergence_series(rec, rec.injected_version)
-            metrics.write_convergence(
-                outdir / f"{label}_seed{seed}_convergence.csv", series
-            )
-            rows.append(
-                metrics.summary_row(rec, spec.name, None if flooding else baseline)
-            )
+            metrics.write_convergence(outdir / f"{label}_seed{seed}_convergence.csv", series)
+            baseline = None if cfg.name == "fp" else records.get((protocols.fp(), seed))
+            rows.append(metrics.summary_row(rec, spec.name, baseline))
     metrics.write_summary(outdir / "summary.csv", rows)
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import mobility as mob
 from .core import digest_for
@@ -337,3 +337,13 @@ class Simulation:
 def run(spec, record_actions: bool = False) -> RunRecord:
     """Execute one scenario and return its RunRecord."""
     return Simulation(spec, record_actions=record_actions).run()
+
+
+def run_grid(spec, cells, seeds) -> dict[tuple, RunRecord]:
+    """Matched-seed runs: `spec` with every seed and, per seed, every cell in order.
+
+    The runs of one seed differ only in their protocol config, so they share
+    a workload fingerprint and pair for `metrics.savings`.  Returns the
+    records keyed by (config, seed), in run order.
+    """
+    return {(cfg, s): run(replace(spec, protocol=cfg, seed=s)) for s in seeds for cfg in cells}

@@ -101,8 +101,9 @@ def load_bounds(
     """
     if min(n_v, t, n_s) < 0 or t == 0 or n_s == 0:
         raise ValueError("counts must be positive (n_v may be 0)")
-    if n_nh < 0 or d <= 0 or p_b <= 0:
-        raise ValueError("n_nh, d, p_b must be positive")
+    # NaN fails every comparison, so finiteness is tested first
+    if not all(map(math.isfinite, (n_nh, d, p_b))) or n_nh < 0 or d <= 0 or p_b <= 0:
+        raise ValueError("n_nh, d, p_b must be finite and positive (n_nh may be 0)")
     return {
         "fp": d / p_b * n_nh,
         "fcp": (n_v + 1) * t,
@@ -175,6 +176,8 @@ def summary_row(
         p_b=float(rec.metadata.get("beacon_period_ms", 100)),
         n_s=rec.n_nodes,
     )
+    # no figure without a flooding run that sent something to save on
+    saving = baseline is not None and baseline.total_software_sends() > 0
     return {
         "scenario": scenario_name,
         "protocol": rec.protocol,
@@ -185,7 +188,7 @@ def summary_row(
         "total_beacon_sends": sum(rec.beacon_sends.values()),
         "final_count": series[-1][1],
         "t90_ms": t90 if t90 is not None else "",
-        "savings_pct": f"{savings(rec, baseline):.4f}" if baseline else "",
+        "savings_pct": f"{savings(rec, baseline):.4f}" if saving else "",
         "measured_nnh": f"{rec.measured_nnh():.6f}",
         **{f"bound_{name}": f"{value:.4f}" for name, value in bounds.items()},
     }

@@ -1,13 +1,14 @@
 """Brute-force oracles for the simulator's accelerated paths.
 
 Each one answers the same question as a fast path in the package by
-looking at every node or every contact, by walking a node one whole
+looking at every node, pair or contact, by walking a node one whole
 segment at a time, or by queueing every periodic beacon as an event, so
 tests can compare the two.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -49,6 +50,31 @@ def contacts_at(trace: ContactTrace, t: float) -> set[tuple[NodeId, NodeId]]:
         for iv in trace.intervals
         if iv.t_start <= t < iv.t_end
     }
+
+
+def contacts_of(spec) -> list[tuple[int, int, NodeId, NodeId]]:
+    """The contacts of a geometric run, as trace rows (t_start, t_end, a, b).
+
+    Takes the trajectories of the engine's own set-up for `spec`, checks
+    every pair at every integer ms of the run, and puts a pair in contact
+    over each maximal run of ms where they are at most R apart.  One more
+    contact after the run joins the two highest node ids, so that the
+    replay has the same node count, and with it the same injection draw.
+    """
+    motions = engine.Simulation(spec).motions
+    n, R, duration = len(motions), spec.radio.R, spec.engine.duration
+    rows = []
+    start = {}  # pair -> first ms of its contact in progress
+    for t in range(duration + 1):
+        pos = [m.position_at(t) for m in motions]
+        for i, j in itertools.combinations(range(n), 2):
+            if math.hypot(pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]) <= R:
+                start.setdefault((i, j), t)
+            elif (i, j) in start:
+                rows.append((start.pop((i, j)), t, i, j))
+    rows += [(t0, duration + 1, i, j) for (i, j), t0 in start.items()]
+    rows.append((duration + 1, duration + 2, n - 2, n - 1))
+    return rows
 
 
 def fold(u: float, lo: float, hi: float) -> float:

@@ -178,6 +178,37 @@ class TestCompare:
         assert not out.exists()
         assert "repeated protocol cells" in capsys.readouterr().err
 
+    def test_cell_order_does_not_change_outputs(self, tiny_cfg, tmp_path):
+        outs = []
+        for order in ("gcp,fp", "fp,gcp"):
+            out = tmp_path / order.replace(",", "-")
+            assert main(["compare", "--scenario", tiny_cfg, "--protocols", order,
+                         "--tokens-list", "2", "--seeds", "2", "--out", str(out)]) == EXIT_OK
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # flooding's row leads each seed: it is the savings baseline
+        with open(outs[0] / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["protocol"], r["seed"]) for r in rows] == [
+            ("fp", "4"), ("gcp", "4"), ("fp", "5"), ("gcp", "5")
+        ]
+
+    def test_flooding_that_sent_nothing_leaves_savings_empty(self, tmp_path):
+        # three nodes on a square kilometre never meet, so flooding sends nothing
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text("[cluster]\nnodes = 3\narea = 0 0 1000 1000\n"
+                       "[engine]\nduration_ms = 3000\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(cfg), "--protocols", "fp,gcp",
+                     "--tokens-list", "5", "--out", str(out)]) == EXIT_OK
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["protocol"], r["total_software_sends"], r["savings_pct"])
+                for r in rows] == [("fp", "0", ""), ("gcp", "0", "")]
+
     def test_sweep_alias(self, tiny_cfg, tmp_path):
         code = main([
             "sweep", "--scenario", tiny_cfg, "--protocols", "pbp",
@@ -205,6 +236,19 @@ class TestBounds:
         assert "fcp       10.0000" in out
         assert "pbp       1999.0000" in out
         assert "gcp       5.0000" in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nnh", "nan"), ("--nnh", "inf"), ("--duration", "inf"), ("--beacon", "nan")],
+    )
+    def test_non_finite_value_is_a_config_error(self, capsys, flag, value):
+        argv = {"--nv": "1", "--tokens": "5", "--nnh": "10", "--duration": "50000",
+                "--beacon": "100", "--nodes": "2000", flag: value}
+        code = main(["bounds"] + [a for item in argv.items() for a in item])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
 
 
 class TestValidate:

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from gossim import protocols, scenarios
 from gossim.core import digest_for
-from gossim.engine import EngineParams, Simulation, run, verify_digest
+from gossim.engine import EngineParams, Simulation, run, run_grid, verify_digest
 from gossim.metrics import convergence_series
 from gossim.mobility import AreaRect, MobilityParams, TRACE_HEADER
 from gossim.radio import RadioParams
 
-from oracles import ReferenceSimulation, sample_receivers
+from oracles import ReferenceSimulation, contacts_of, sample_receivers
 
 
 def tiny_spec(nodes=5, side=8.0, protocol=None, seed=0, duration=4000):
@@ -332,6 +332,58 @@ class TestGeometricProperties:
             expected = sample_receivers(sender, positions, sim.radio, oracle_rng)
             assert got == sorted(expected)
             assert oracle_rng.getstate() == sim.rng_radio.getstate()
+
+
+@st.composite
+def _certain_runs(draw):
+    """A short geometric run where every node within R hears every transmission."""
+    duration = draw(st.integers(min_value=500, max_value=1000))
+    protocol, engine = _engine_params(draw, duration)
+    spec = tiny_spec(
+        nodes=draw(st.integers(8, 12)),
+        side=draw(st.floats(8.0, 25.0)),
+        protocol=protocol,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return dataclasses.replace(
+        spec,
+        engine=engine,
+        radio=RadioParams(r=3.0, R=5.0, p_min=1.0),
+        mobility=MobilityParams(speed_max=draw(st.sampled_from([2.0, 30.0]))),
+    )
+
+
+class TestGeometricAgainstContacts:
+    @given(_certain_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_replay_of_its_contacts(self, spec):
+        # with p_min = 1 delivery is certain up to R and no radio draw is
+        # made, so the geometric run (positions, grid and margin, candidate
+        # sort) must hear exactly what the replay of its own contacts hears;
+        # fast nodes move metres within a grid epoch, so the margin counts
+        case = (contacts_of(spec), spec.protocol, spec.engine, spec.seed)
+        with _replayed(case) as trace_spec:
+            replayed = run(trace_spec, record_actions=True)
+        geometric = run(spec, record_actions=True)
+        # every field but the two that name the mode
+        same_mode = dict(metadata=None, workload_fingerprint=None)
+        assert dataclasses.replace(geometric, **same_mode) == dataclasses.replace(
+            replayed, **same_mode
+        )
+
+
+class TestRunGrid:
+    def test_seed_major_in_cell_order(self):
+        spec = tiny_spec(duration=1500)
+        cells = (protocols.gcp(2), protocols.fp(), protocols.pbp())
+        grid = run_grid(spec, cells, (7, 3))
+        assert list(grid) == [(cfg, seed) for seed in (7, 3) for cfg in cells]
+        for (cfg, seed), rec in grid.items():
+            assert rec == run(dataclasses.replace(spec, protocol=cfg, seed=seed))
+        # one workload per seed, so each seed's records pair for savings
+        fingerprint = {key: rec.workload_fingerprint for key, rec in grid.items()}
+        assert fingerprint[(cells[0], 7)] == fingerprint[(cells[1], 7)]
+        assert fingerprint[(cells[0], 7)] != fingerprint[(cells[0], 3)]
 
 
 def test_corruption_triggers_rerequests():

@@ -104,6 +104,22 @@ class TestBounds:
         with pytest.raises(ValueError):
             load_bounds(n_v=1, t=0, n_nh=1.0, d=1000.0, p_b=100.0, n_s=10)
 
+    @pytest.mark.parametrize(
+        "n_nh, d, p_b",
+        [
+            (math.nan, 1000.0, 100.0),
+            (math.inf, 1000.0, 100.0),
+            (1.0, math.inf, 100.0),
+            (1.0, math.nan, 100.0),
+            (1.0, 1000.0, math.nan),
+            (1.0, 1000.0, math.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, n_nh, d, p_b):
+        # NaN passes every `< 0` and `<= 0` test, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            load_bounds(n_v=1, t=5, n_nh=n_nh, d=d, p_b=p_b, n_s=10)
+
 
 class TestGossipReliability:
     def test_known_values(self):
