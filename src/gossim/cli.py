@@ -46,14 +46,12 @@ def _load_scenario(ref: str, scale: str) -> scenarios.ScenarioSpec:
     return spec
 
 
-def _write_run_outputs(outdir: Path, spec, rec: metrics.RunRecord, baseline=None):
+def _write_run_outputs(outdir: Path, spec, rec: metrics.RunRecord):
     outdir.mkdir(parents=True, exist_ok=True)
     series = metrics.convergence_series(rec, rec.injected_version)
     metrics.write_convergence(outdir / "convergence.csv", series)
     metrics.write_load(outdir / "load.csv", metrics.load_histogram(rec))
-    metrics.write_summary(
-        outdir / "summary.csv", [metrics.summary_row(rec, spec.name, baseline)]
-    )
+    metrics.write_summary(outdir / "summary.csv", [metrics.summary_row(rec, spec.name)])
     meta = dict(rec.metadata)
     meta.update(
         scenario=spec.name,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import NodeId
 
@@ -131,25 +131,27 @@ class NodeMotion:
             self._next_segment(leg=self.paused)
 
 
-@dataclass(frozen=True)
-class ContactInterval:
-    t_start: int
-    t_end: int
-    a: NodeId
-    b: NodeId
-
-    def __post_init__(self):
-        if self.t_start < 0 or self.t_end <= self.t_start:
-            raise ValueError(
-                f"malformed contact interval [{self.t_start}, {self.t_end})"
-            )
-        if self.a == self.b:
-            raise ValueError("contact interval needs two distinct nodes")
+# a contact: nodes a and b are in contact over [t_start, t_end) ms
+ContactRow = tuple[int, int, NodeId, NodeId]
 
 
-@dataclass
+def contact_row(row: ContactRow) -> ContactRow:
+    """Return `row` as given; raise ValueError if it is no valid contact."""
+    t0, t1, a, b = row
+    if a < 0 or b < 0:
+        raise ValueError("negative node id")
+    if t0 < 0 or t1 <= t0:
+        raise ValueError(f"malformed contact interval [{t0}, {t1})")
+    if a == b:
+        raise ValueError("contact interval needs two distinct nodes")
+    return row
+
+
 class ContactTrace:
     """A replayed contact trace; `partners` answers who is in contact when.
+
+    Takes contact rows, checks each with `contact_row` in the order given
+    and keeps them sorted in `intervals`.
 
     Each node keeps a forward cursor over its contacts (sorted by start):
     `(t, hi, nxt, live, found)`, where `t` is the last time it scanned,
@@ -159,27 +161,21 @@ class ContactTrace:
     one starts.  The partner set is constant over `[t, hi)`.
     """
 
-    intervals: list[ContactInterval]
-    # node -> its (t_start, t_end, other node) contacts, sorted by start
-    _by_node: dict[NodeId, list[tuple[int, int, NodeId]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    # node -> its cursor (t, hi, nxt, live, found)
-    _memo: dict[
-        NodeId, tuple[float, float, int, list[tuple[int, int, NodeId]], list[NodeId]]
-    ] = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.intervals = sorted(
-            self.intervals, key=lambda iv: (iv.t_start, iv.t_end, iv.a, iv.b)
-        )
-        for iv in self.intervals:
-            self._by_node.setdefault(iv.a, []).append((iv.t_start, iv.t_end, iv.b))
-            self._by_node.setdefault(iv.b, []).append((iv.t_start, iv.t_end, iv.a))
+    def __init__(self, rows):
+        self.intervals = sorted(map(contact_row, rows))
+        # node -> its (t_start, t_end, other node) contacts, sorted by start
+        self._by_node: dict[NodeId, list[tuple[int, int, NodeId]]] = {}
+        for t0, t1, a, b in self.intervals:
+            self._by_node.setdefault(a, []).append((t0, t1, b))
+            self._by_node.setdefault(b, []).append((t0, t1, a))
+        # node -> its cursor (t, hi, nxt, live, found)
+        self._memo: dict[
+            NodeId, tuple[float, float, int, list[tuple[int, int, NodeId]], list[NodeId]]
+        ] = {}
 
     @property
     def node_count(self) -> int:
-        return 1 + max(max(iv.a, iv.b) for iv in self.intervals)
+        return 1 + max(self._by_node)
 
     def partners(self, node: NodeId, t: float) -> list[NodeId]:
         """Nodes in contact with `node` at time t (half-open intervals).
@@ -218,28 +214,31 @@ TRACE_HEADER = ["t_start_ms", "t_end_ms", "node_a", "node_b"]
 
 
 def load_trace(path) -> ContactTrace:
-    """Read a contact trace CSV: t_start_ms,t_end_ms,node_a,node_b."""
+    """Read a contact trace CSV: t_start_ms,t_end_ms,node_a,node_b.
+
+    A malformed row fails with `path:line:` before the message.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRACE_HEADER:
             raise ValueError(f"bad trace header {header!r}, want {TRACE_HEADER}")
-        intervals = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                t0, t1, a, b = (int(v) for v in row)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if a < 0 or b < 0:
-                raise ValueError(f"{path}:{lineno}: negative node id")
-            try:
-                intervals.append(ContactInterval(t0, t1, a, b))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not intervals:
+        try:
+            # rows are parsed as ContactTrace checks them, so the reader
+            # is still on the line of the row that fails
+            trace = ContactTrace(_parse_rows(reader))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not trace.intervals:
         raise ValueError(f"{path}: empty contact trace")
-    return ContactTrace(intervals)
+    return trace
+
+
+def _parse_rows(reader):
+    """Yield the CSV rows as int tuples, skipping blank lines."""
+    for row in reader:
+        if row:
+            if len(row) != 4:
+                raise ValueError("expected 4 fields")
+            t0, t1, a, b = row
+            yield int(t0), int(t1), int(a), int(b)

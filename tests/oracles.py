@@ -45,11 +45,7 @@ def sample_receivers(
 
 def contacts_at(trace: ContactTrace, t: float) -> set[tuple[NodeId, NodeId]]:
     """All unordered pairs in contact at time t."""
-    return {
-        (min(iv.a, iv.b), max(iv.a, iv.b))
-        for iv in trace.intervals
-        if iv.t_start <= t < iv.t_end
-    }
+    return {(min(a, b), max(a, b)) for t0, t1, a, b in trace.intervals if t0 <= t < t1}
 
 
 def contacts_of(spec) -> list[tuple[int, int, NodeId, NodeId]]:

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossim import protocols, scenarios
@@ -280,25 +280,42 @@ class TestTraceProperties:
 
 @st.composite
 def _geometric_runs(draw):
-    """A small random cluster layout and a short run over it."""
+    """A small random cluster layout and a short run over it.
+
+    The floors keep most layouts in radio contact; smaller ones are the
+    explicit examples below.
+    """
     duration = draw(st.integers(min_value=200, max_value=3000))
     protocol, engine = _engine_params(draw, duration)
     spec = tiny_spec(
-        nodes=draw(st.integers(1, 12)),
-        side=draw(st.floats(2.0, 30.0)),
+        nodes=draw(st.integers(8, 12)),
+        side=draw(st.floats(8.0, 25.0)),
         protocol=protocol,
         seed=draw(st.integers(0, 2**16)),
     )
     return dataclasses.replace(spec, engine=engine)
 
 
+def _lone_and_pair(test):
+    """Run `test` also on a lone node and on a pair always in range of each other."""
+    engine = EngineParams(
+        beacon_period=50, delivery_latency=10, duration=1000, injection_time=100
+    )
+    for nodes, protocol in ((1, protocols.fp()), (2, protocols.gcp(1))):
+        spec = tiny_spec(nodes=nodes, side=2.0, protocol=protocol, seed=3)
+        test = example(dataclasses.replace(spec, engine=engine))(test)
+    return test
+
+
 class TestGeometricProperties:
     @given(_geometric_runs())
+    @_lone_and_pair
     @settings(max_examples=40, deadline=None)
     def test_engine_invariants(self, spec):
         _assert_invariants(run(spec), spec.protocol, spec.engine)
 
     @given(_geometric_runs())
+    @_lone_and_pair
     @settings(max_examples=100, deadline=None)
     def test_matches_reference_scheduler(self, spec):
         _assert_matches_reference(spec)

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from gossim.mobility import (
     AreaRect,
-    ContactInterval,
     ContactTrace,
     MobilityParams,
     NodeMotion,
@@ -26,6 +27,11 @@ _CONTACT_ROWS = st.lists(
     min_size=1,
     max_size=25,
 )
+
+
+def _contacts(rows):
+    """Contact rows (t_start, t_end, a, b) among nodes 0-4 from _CONTACT_ROWS."""
+    return [(t0, t0 + length, a, (a + b) % 5) for t0, length, a, b in rows]
 
 
 class TestFold:
@@ -140,10 +146,7 @@ class TestNodeMotion:
 
 class TestContactTrace:
     def _trace(self):
-        return ContactTrace([
-            ContactInterval(10, 20, 0, 1),
-            ContactInterval(15, 30, 1, 2),
-        ])
+        return ContactTrace([(10, 20, 0, 1), (15, 30, 1, 2)])
 
     def test_intervals_are_half_open(self):
         tr = self._trace()
@@ -171,9 +174,7 @@ class TestContactTrace:
     def test_partners_match_contacts_at(self, rows, node, t):
         # unsorted, overlapping and repeated contacts: partners() stops
         # scanning at the first interval that starts after t
-        tr = ContactTrace(
-            [ContactInterval(t0, t0 + length, a, (a + b) % 5) for t0, length, a, b in rows]
-        )
+        tr = ContactTrace(_contacts(rows))
         expected = sorted(
             b if a == node else a for a, b in contacts_at(tr, t) if node in (a, b)
         )
@@ -199,10 +200,8 @@ class TestContactTrace:
     def test_memo_matches_contacts_at_for_any_query_order(self, rows, queries, data):
         # one trace queried many times: rising, repeated and backwards t,
         # int and float, and exactly on every interval boundary
-        tr = ContactTrace(
-            [ContactInterval(t0, t0 + length, a, (a + b) % 5) for t0, length, a, b in rows]
-        )
-        edges = sorted({t for iv in tr.intervals for t in (iv.t_start, iv.t_end)})
+        tr = ContactTrace(_contacts(rows))
+        edges = sorted({t for t0, t1, _, _ in tr.intervals for t in (t0, t1)})
         rising = [(node, t) for t in edges for node in range(5)]
         mixed = data.draw(st.permutations(queries + rising))
         for node, t in mixed + rising + rising[::-1]:
@@ -217,10 +216,17 @@ class TestContactTrace:
         assert self._trace().node_count == 3
 
     def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            ContactInterval(10, 10, 0, 1)
-        with pytest.raises(ValueError):
-            ContactInterval(5, 10, 3, 3)
+        # a bad row fails wherever it sits among good ones
+        for row, message in [
+            ((10, 10, 0, 1), "malformed contact interval [10, 10)"),
+            ((5, 10, 3, 3), "contact interval needs two distinct nodes"),
+            ((10, 5, 0, 1), "malformed contact interval [10, 5)"),
+            ((-1, 5, 0, 1), "malformed contact interval [-1, 5)"),
+            ((0, 5, 0, -1), "negative node id"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                ContactTrace([(0, 5, 0, 1), row, (1, 2, 2, 3)])
+            assert str(err.value) == message
 
 
 class TestLoadTrace:
@@ -250,6 +256,46 @@ class TestLoadTrace:
         p = self._write(tmp_path, ["100,100,0,1"])
         with pytest.raises(ValueError, match=":2:"):
             load_trace(p)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,100,1", "expected 4 fields"),
+            ("7,abc,1,2", "invalid literal for int() with base 10: 'abc'"),
+            ("0,100,-1,2", "negative node id"),
+            ("100,100,0,1", "malformed contact interval [100, 100)"),
+            ("200,100,0,1", "malformed contact interval [200, 100)"),
+            ("-5,100,0,1", "malformed contact interval [-5, 100)"),
+            ("0,100,3,3", "contact interval needs two distinct nodes"),
+        ],
+    )
+    def test_rejected_row(self, tmp_path, row, message):
+        # the blank line counts; the first bad row in the file is named,
+        # not the malformed one after it
+        p = self._write(tmp_path, ["0,100,0,1", "", row, "1,2,3"])
+        with pytest.raises(ValueError) as err:
+            load_trace(p)
+        assert str(err.value) == f"{p}:4: {message}"
+
+    @given(_CONTACT_ROWS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_load_matches_construction(self, rows, data):
+        # shuffled, overlapping and repeated rows with blank lines between
+        contacts = _contacts(rows)
+        contacts += data.draw(st.lists(st.sampled_from(contacts), max_size=5))
+        contacts = data.draw(st.permutations(contacts))
+        lines = [",".join(map(str, c)) for c in contacts]
+        for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=4)):
+            lines.insert(at, "")
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_trace(self._write(Path(tmp), lines))
+        direct = ContactTrace(contacts)
+        assert loaded.intervals == direct.intervals == sorted(contacts)
+        assert loaded.node_count == direct.node_count
+        edges = sorted({t for t0, t1, _, _ in contacts for t in (t0, t1)})
+        for t in edges:
+            for node in range(5):
+                assert loaded.partners(node, t) == direct.partners(node, t), (node, t)
 
     def test_empty_trace_rejected(self, tmp_path):
         p = self._write(tmp_path, [])
