@@ -69,11 +69,13 @@ def criterion_1_token_cap() -> CriterionResult:
     """Per-version sends <= tokens; totals <= t (GCP) / 2t (FCP) for n_v=1."""
     worst = ""
     ok = True
+    runs = 0
     for scenario in ("c9", "c9-social"):
         batch = _batch(scenario)
         for (cfg, seed), rec in batch.items():
             if not cfg.token_control:
                 continue
+            runs += 1
             name, k = cfg.name, cfg.initial_tokens
             cap_total = k if name == "gcp" else 2 * k
             for node in range(rec.n_nodes):
@@ -81,7 +83,7 @@ def criterion_1_token_cap() -> CriterionResult:
                 if any(c > k for c in per.values()) or sum(per.values()) > cap_total:
                     ok = False
                     worst = f"{scenario} {name}({k}) seed {seed} node {node}: {per}"
-    detail = worst or f"caps hold on {2 * len(DESK_SEEDS) * 6} token-controlled runs"
+    detail = worst or f"caps hold on {runs} token-controlled runs"
     return CriterionResult(1, "token cap", ok, detail)
 
 

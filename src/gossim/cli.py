@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -144,12 +143,11 @@ def _cmd_validate(args) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "report.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["criterion", "status", "name", "detail"])
-            w.writerows(
-                [r.cid, "pass" if r.passed else "FAIL", r.name, r.detail] for r in results
-            )
+        metrics.write_csv(
+            outdir / "report.csv",
+            ["criterion", "status", "name", "detail"],
+            ([r.cid, "pass" if r.passed else "FAIL", r.name, r.detail] for r in results),
+        )
     for r in results:
         print(r)
     return EXIT_OK if all(r.passed for r in results) else EXIT_RUNTIME

@@ -1,16 +1,13 @@
-"""Shared vocabulary: node ids, versions and the software image digest."""
+"""The software image digest."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
 
-NodeId = int
-VersionNumber = int
-
 
 @functools.lru_cache(maxsize=128)
-def digest_for(version: VersionNumber) -> str:
+def digest_for(version: int) -> str:
     """Checksum of the (nominal) software image for a version.
 
     Only equality is ever tested, so the image is stood in for by its

@@ -116,35 +116,27 @@ class Simulation:
         self.motions: list[mob.NodeMotion] = []
         if spec.trace is not None:
             self.trace = mob.load_trace(spec.trace)
-            n = self.trace.node_count
+            self.n = self.trace.node_count
         else:
-            n = spec.n_nodes
-        self.n = n
-
-        # a node's whole protocol state: its version and its tokens left
-        self.versions = [0] * n
-        self.tokens = [self.cfg.initial_tokens] * n
-
-        if self.trace is None:
-            node = 0
+            # node i walks on its own stream, mobility/i
             for count, area in spec.node_areas():
                 for _ in range(count):
                     pos = (
                         rng_place.uniform(area.x_min, area.x_max),
                         rng_place.uniform(area.y_min, area.y_max),
                     )
-                    motion = mob.NodeMotion(
-                        pos, area, spec.mobility, _stream(self.seed, f"mobility/{node}")
-                    )
-                    self.motions.append(motion)
-                    node += 1
-            assert node == n
+                    rng = _stream(self.seed, f"mobility/{len(self.motions)}")
+                    self.motions.append(mob.NodeMotion(pos, area, spec.mobility, rng))
+            self.n = len(self.motions)
             margin = spec.mobility.speed_max * GRID_EPOCH_MS / 1000.0
             self.grid = SpatialGrid(spec.radio.R + margin)
             self.grid_valid_until = -1.0
             self.radio = spec.radio
 
-        self.phases = [rng_phase.randrange(self.ep.beacon_period) for _ in range(n)]
+        # a node's whole protocol state: its version and its tokens left
+        self.versions = [0] * self.n
+        self.tokens = [self.cfg.initial_tokens] * self.n
+        self.phases = [rng_phase.randrange(self.ep.beacon_period) for _ in range(self.n)]
 
         # tallies
         self.update_events: list[tuple[int, int, int]] = []
@@ -199,7 +191,7 @@ class Simulation:
     # -- protocol plumbing ---------------------------------------------
 
     def _apply(self, node: int, t: int, act) -> None:
-        """Carry out one protocol action of `node` at time t."""
+        """Carry out one action of `node` at time t; the injection's update too."""
         if type(act) is SendSoftware:
             per = self.software_sends.setdefault(node, {})
             per[act.version] = per.get(act.version, 0) + 1
@@ -297,9 +289,7 @@ class Simulation:
                     target = self.rng_inject.randrange(self.n)
                     versions[target] = ep.injected_version
                     tokens[target] = cfg.initial_tokens
-                    self.update_events.append((now, target, ep.injected_version))
-                    if self.record_actions:
-                        self.actions.append((now, target, UpdateLocal(ep.injected_version)))
+                    apply(target, now, UpdateLocal(ep.injected_version))
             del queue[now]
 
         return self._record(tx, rx)

@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import NodeId, VersionNumber
-
 
 @dataclass
 class RunRecord:
@@ -25,10 +23,11 @@ class RunRecord:
     protocol: str
     tokens: Optional[int]
     workload_fingerprint: str  # identifies everything except the protocol
-    injected_version: VersionNumber
-    update_events: list[tuple[int, NodeId, VersionNumber]] = field(default_factory=list)
-    software_sends: dict[NodeId, dict[VersionNumber, int]] = field(default_factory=dict)
-    beacon_sends: dict[NodeId, int] = field(default_factory=dict)
+    injected_version: int
+    # (t, node, version) per adoption; node -> version -> copies sent
+    update_events: list[tuple[int, int, int]] = field(default_factory=list)
+    software_sends: dict[int, dict[int, int]] = field(default_factory=dict)
+    beacon_sends: dict[int, int] = field(default_factory=dict)
     beacon_receptions: int = 0
     beacon_tx_count: int = 0  # beacon transmissions, for the mean below
     beacon_rx_sum: int = 0  # total sampled receivers over those transmissions
@@ -38,7 +37,7 @@ class RunRecord:
     def total_software_sends(self) -> int:
         return sum(sum(per.values()) for per in self.software_sends.values())
 
-    def node_software_sends(self, node: NodeId) -> int:
+    def node_software_sends(self, node: int) -> int:
         return sum(self.software_sends.get(node, {}).values())
 
     def measured_nnh(self) -> float:
@@ -48,16 +47,14 @@ class RunRecord:
         return self.beacon_rx_sum / self.beacon_tx_count
 
 
-def convergence_series(
-    rec: RunRecord, version: VersionNumber
-) -> list[tuple[int, int]]:
+def convergence_series(rec: RunRecord, version: int) -> list[tuple[int, int]]:
     """Step series: how many nodes hold >= version at each update instant."""
     if version != rec.injected_version and not any(
         v >= version for _, _, v in rec.update_events
     ):
         raise ValueError(f"version {version} never appeared in this run")
     series = [(0, 0)]
-    holders: set[NodeId] = set()
+    holders: set[int] = set()
     for t, node, v in rec.update_events:
         if v >= version and node not in holders:
             holders.add(node)
@@ -126,19 +123,20 @@ def savings(alg: RunRecord, flooding: RunRecord) -> float:
     return 100.0 * (1.0 - alg.total_software_sends() / base)
 
 
-def write_convergence(path, series: list[tuple[int, int]]) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a CSV file: the header line, then one line per row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["t_ms", "count"])
-        w.writerows(series)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_convergence(path, series: list[tuple[int, int]]) -> None:
+    write_csv(path, ["t_ms", "count"], series)
 
 
 def write_load(path, histogram: dict[int, int]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sends", "node_count"])
-        for sends in sorted(histogram):
-            w.writerow([sends, histogram[sends]])
+    write_csv(path, ["sends", "node_count"], sorted(histogram.items()))
 
 
 SUMMARY_FIELDS = [
@@ -173,7 +171,7 @@ def summary_row(
         t=rec.tokens or 1,
         n_nh=rec.measured_nnh(),
         d=rec.duration_ms,
-        p_b=float(rec.metadata.get("beacon_period_ms", 100)),
+        p_b=float(rec.metadata["beacon_period_ms"]),
         n_s=rec.n_nodes,
     )
     # no figure without a flooding run that sent something to save on
@@ -195,7 +193,4 @@ def summary_row(
 
 
 def write_summary(path, rows: list[dict[str, object]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        w.writeheader()
-        w.writerows(rows)
+    write_csv(path, SUMMARY_FIELDS, ([row[f] for f in SUMMARY_FIELDS] for row in rows))

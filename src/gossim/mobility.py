@@ -5,9 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
-
-from .core import NodeId
+from dataclasses import astuple, dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,7 +18,7 @@ class AreaRect:
     y_max: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
+        if not all(map(math.isfinite, astuple(self))):
             raise ValueError("area bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate area rectangle")
@@ -38,6 +36,8 @@ class MobilityParams:
     speed_max: float = 2.0  # m/s
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("mobility parameters must be finite")
         if self.pause_max < 0:
             raise ValueError("pause_max must be >= 0")
         if not 0 < self.leg_duration_min <= self.leg_duration_max:
@@ -132,7 +132,7 @@ class NodeMotion:
 
 
 # a contact: nodes a and b are in contact over [t_start, t_end) ms
-ContactRow = tuple[int, int, NodeId, NodeId]
+ContactRow = tuple[int, int, int, int]
 
 
 def contact_row(row: ContactRow) -> ContactRow:
@@ -164,20 +164,18 @@ class ContactTrace:
     def __init__(self, rows):
         self.intervals = sorted(map(contact_row, rows))
         # node -> its (t_start, t_end, other node) contacts, sorted by start
-        self._by_node: dict[NodeId, list[tuple[int, int, NodeId]]] = {}
+        self._by_node: dict[int, list[tuple[int, int, int]]] = {}
         for t0, t1, a, b in self.intervals:
             self._by_node.setdefault(a, []).append((t0, t1, b))
             self._by_node.setdefault(b, []).append((t0, t1, a))
         # node -> its cursor (t, hi, nxt, live, found)
-        self._memo: dict[
-            NodeId, tuple[float, float, int, list[tuple[int, int, NodeId]], list[NodeId]]
-        ] = {}
+        self._memo: dict[int, tuple[float, float, int, list[tuple[int, int, int]], list[int]]] = {}
 
     @property
     def node_count(self) -> int:
         return 1 + max(self._by_node)
 
-    def partners(self, node: NodeId, t: float) -> list[NodeId]:
+    def partners(self, node: int, t: float) -> list[int]:
         """Nodes in contact with `node` at time t (half-open intervals).
 
         Returns a new sorted list.  A query inside the node's cursor piece

@@ -7,9 +7,9 @@ PBP=(True,False), GCP=(True,True).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .core import VersionNumber, digest_for
+from .core import digest_for
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def from_name(name: str, tokens: Optional[int] = None, flag: str = "tokens") -> 
 
 @dataclass(frozen=True)
 class SendSoftware:
-    version: VersionNumber
+    version: int
     digest: str
 
 
@@ -83,18 +83,15 @@ class SendBeacon:
 
 @dataclass(frozen=True)
 class UpdateLocal:
-    version: VersionNumber
-
-
-ProtocolAction = Union[SendSoftware, SendBeacon, UpdateLocal]
+    version: int
 
 
 def on_beacon(
     cfg: ProtocolConfig,
-    version: VersionNumber,
+    version: int,
     tokens: int,
-    remote_version: Optional[VersionNumber],
-) -> tuple[int, Optional[ProtocolAction]]:
+    remote_version: Optional[int],
+) -> tuple[int, SendSoftware | SendBeacon | None]:
     """React to a received beacon; return the tokens left and the action.
 
     Without piggyback the remote version is unknown, so the node pushes
@@ -120,11 +117,11 @@ def on_beacon(
 
 def on_software(
     cfg: ProtocolConfig,
-    version: VersionNumber,
+    version: int,
     tokens: int,
-    payload_version: VersionNumber,
+    payload_version: int,
     digest_ok: bool,
-) -> tuple[VersionNumber, int, Optional[ProtocolAction]]:
+) -> tuple[int, int, SendBeacon | UpdateLocal | None]:
     """React to a received software copy (requested or overheard).
 
     Returns the node's version, its tokens and the action.  Adopting a

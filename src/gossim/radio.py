@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .core import NodeId
+from dataclasses import astuple, dataclass
 
 
 @dataclass(frozen=True)
@@ -15,6 +13,9 @@ class RadioParams:
     p_min: float
 
     def __post_init__(self):
+        # an infinite R passes the range checks below, and then p is NaN past r
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("r, R and p_min must be finite")
         if not 0 < self.r < self.R:
             raise ValueError("radio ranges must satisfy 0 < r < R")
         if not 0 < self.p_min <= 1:
@@ -60,11 +61,11 @@ class SpatialGrid:
 
     def __init__(self, cell_size: float):
         self.cell = cell_size
-        self.cells: dict[int, list[NodeId]] = {}
+        self.cells: dict[int, list[int]] = {}
 
     def rebuild(self, positions):
         """positions: iterable of (node, x, y)."""
-        cells: dict[int, list[NodeId]] = {}
+        cells: dict[int, list[int]] = {}
         cell = self.cell
         for node, x, y in positions:
             key = int(x // cell) * _STRIDE + int(y // cell)
@@ -75,12 +76,12 @@ class SpatialGrid:
                 bucket.append(node)
         self.cells = cells
 
-    def candidates(self, x: float, y: float) -> list[NodeId]:
+    def candidates(self, x: float, y: float) -> list[int]:
         """Nodes in the 3x3 cells around (x, y), as a fresh list."""
         cell = self.cell
         key = int(x // cell) * _STRIDE + int(y // cell)
         get = self.cells.get
-        out: list[NodeId] = []
+        out: list[int] = []
         for offset in _NEIGHBOURS:
             bucket = get(key + offset)
             if bucket:

@@ -76,10 +76,7 @@ class ScenarioSpec:
 
     @property
     def n_nodes(self) -> int:
-        n = sum(c.node_count for c in self.clusters)
-        if self.transmitters is not None:
-            n += self.transmitters.count
-        return n
+        return sum(count for count, _ in self.node_areas())
 
     def node_areas(self) -> Iterator[tuple[int, AreaRect]]:
         """(count, roaming area) groups in node-id order."""

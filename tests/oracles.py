@@ -13,18 +13,17 @@ import math
 import random
 
 from gossim import engine
-from gossim.core import NodeId
 from gossim.mobility import AreaRect, ContactTrace, MobilityParams
 from gossim.protocols import UpdateLocal, on_beacon, on_software
 from gossim.radio import RadioParams, delivery_probability
 
 
 def sample_receivers(
-    sender: NodeId,
-    positions: dict[NodeId, tuple[float, float]],
+    sender: int,
+    positions: dict[int, tuple[float, float]],
     p: RadioParams,
     rng: random.Random,
-) -> set[NodeId]:
+) -> set[int]:
     """Independently sample which other nodes hear one transmission.
 
     A receiver with probability exactly 1 is included without drawing,
@@ -43,12 +42,12 @@ def sample_receivers(
     return received
 
 
-def contacts_at(trace: ContactTrace, t: float) -> set[tuple[NodeId, NodeId]]:
+def contacts_at(trace: ContactTrace, t: float) -> set[tuple[int, int]]:
     """All unordered pairs in contact at time t."""
     return {(min(a, b), max(a, b)) for t0, t1, a, b in trace.intervals if t0 <= t < t1}
 
 
-def contacts_of(spec) -> list[tuple[int, int, NodeId, NodeId]]:
+def contacts_of(spec) -> list[tuple[int, int, int, int]]:
     """The contacts of a geometric run, as trace rows (t_start, t_end, a, b).
 
     Takes the trajectories of the engine's own set-up for `spec`, checks

@@ -2,8 +2,8 @@ import csv
 
 import pytest
 
-from gossim import acceptance
-from gossim.cli import EXIT_CONFIG, EXIT_OK, main
+from gossim import acceptance, engine
+from gossim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 TINY = """\
 seed = 4
@@ -93,6 +93,25 @@ class TestConfigErrors:
         code = main(["run", "--scenario", str(p), "--protocol", "fp",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    def test_unexpected_failure_is_a_runtime_error(self, tiny_cfg, tmp_path, monkeypatch,
+                                                   capsys):
+        def fail(spec):
+            raise RuntimeError("queue overflow")
+
+        monkeypatch.setattr(engine, "run", fail)
+        code = main(["run", "--scenario", tiny_cfg, "--protocol", "fp",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == "runtime error: queue overflow\n"
+
+    def test_non_finite_radio_writes_nothing(self, tmp_path, capsys):
+        p = tmp_path / "inf.cfg"
+        p.write_text(TINY + "[radio]\nR = inf\n")
+        code = main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: radio: r, R and p_min must be finite\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_subcommand(self):
         assert main(["launch"]) == EXIT_CONFIG

@@ -42,6 +42,18 @@ class TestEngineParams:
             EngineParams(corruption_probability=1.0)
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("delivery_latency", -1, "delivery_latency must be >= 0"),
+            ("injected_version", 0, "injected version must be > 0"),
+            ("injected_version", -3, "injected version must be > 0"),
+        ],
+    )
+    def test_rejected_value(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EngineParams(**{field: value})
+
+    @pytest.mark.parametrize(
         "field", ["beacon_period", "delivery_latency", "duration", "injection_time"]
     )
     @pytest.mark.parametrize("value", [100.0, 1.5, True, "100"])

@@ -1,15 +1,19 @@
+import csv
 import math
 
 import pytest
 
 from gossim.metrics import (
+    SUMMARY_FIELDS,
     RunRecord,
     convergence_series,
     gossip_reliability,
     load_bounds,
     load_histogram,
     savings,
+    summary_row,
     time_to_fraction,
+    write_summary,
 )
 
 
@@ -65,6 +69,21 @@ class TestTimeToFraction:
             time_to_fraction([(0, 0)], 0.0, 10)
         with pytest.raises(ValueError):
             time_to_fraction([(0, 0)], 1.5, 10)
+
+
+def test_measured_nnh_without_transmissions_is_zero():
+    assert record().measured_nnh() == 0.0
+    assert record(beacon_tx_count=4, beacon_rx_sum=6).measured_nnh() == 1.5
+
+
+def test_summary_row_holds_every_summary_field_in_order(tmp_path):
+    # write_summary writes the columns by name, so an extra or a missing
+    # key in summary_row must show here
+    row = summary_row(record(metadata={"beacon_period_ms": "100"}), "s")
+    assert list(row) == SUMMARY_FIELDS
+    write_summary(tmp_path / "summary.csv", [row])
+    with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.DictReader(fh)) == [{k: str(v) for k, v in row.items()}]
 
 
 def test_load_histogram_mass():

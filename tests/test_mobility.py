@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,33 @@ class TestFold:
             elif x < 0.0:
                 x, vel = -x, -vel
         assert fold(5.0 + v * dt, 0.0, 10.0) == pytest.approx(x, abs=1e-6)
+
+
+class TestParams:
+    @pytest.mark.parametrize("bounds", [(0, 0, 0, 1), (0, 0, 1, 0), (2, 0, 1, 1), (0, 2, 1, 1)])
+    def test_degenerate_area_rejected(self, bounds):
+        with pytest.raises(ValueError, match="^degenerate area rectangle$"):
+            AreaRect(*map(float, bounds))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("pause_max", -1.0, "pause_max must be >= 0"),
+            ("leg_duration_min", 0.0, "leg duration range invalid"),
+            ("leg_duration_min", 600.0, "leg duration range invalid"),  # above the max
+            ("speed_min", 0.0, "speed range invalid"),
+            ("speed_min", 3.0, "speed range invalid"),  # above the max
+        ],
+    )
+    def test_mobility_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MobilityParams(**{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(MobilityParams)])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_mobility_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="^mobility parameters must be finite$"):
+            MobilityParams(**{field: value})
 
 
 class TestNodeMotion:

@@ -58,6 +58,21 @@ def test_params_validation():
         RadioParams(r=0.0, R=2.0, p_min=0.3)
 
 
+@pytest.mark.parametrize(
+    "r, R, p_min",
+    [
+        (3.0, math.inf, 0.3),  # else delivery_probability is NaN between r and R
+        (-math.inf, 5.0, 0.3),
+        (math.nan, 5.0, 0.3),
+        (3.0, math.nan, 0.3),
+        (3.0, 5.0, math.nan),
+    ],
+)
+def test_params_must_be_finite(r, R, p_min):
+    with pytest.raises(ValueError, match=r"^r, R and p_min must be finite$"):
+        RadioParams(r=r, R=R, p_min=p_min)
+
+
 def test_empirical_frequency_matches_probability():
     d = 4.3
     p = delivery_probability(d, DEFAULT)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -158,6 +159,30 @@ class TestParse:
     def test_area_bounds_must_be_finite(self, area):
         with pytest.raises(ConfigError, match=r"^line 3: area bounds must be finite$"):
             parse(f"[cluster]\nnodes = 2\narea = {area}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[cluster]\nnodes = 2\narea = 0 0 a 1\n", "line 3: area values must be numbers"),
+            (
+                "[cluster]\nnodes = 2\narea = 0 0 9 9\n[radio]\nr = 1\n[radio]\n",
+                "line 6: duplicate section [radio]",
+            ),
+            ("seed = 1\nseed 2\n", "line 2: expected key = value"),
+            ("[cluster]\nnodes = 2\n", "[cluster] needs nodes and area"),
+            ("[transmitters]\narea = 0 0 9 9\n", "[transmitters] needs count and area"),
+            (
+                # else every receiver beyond r is silently dropped
+                "[cluster]\nnodes = 2\narea = 0 0 9 9\n[radio]\nR = inf\n",
+                "radio: r, R and p_min must be finite",
+            ),
+        ],
+        ids=["area-not-a-number", "second-radio", "no-equals", "cluster-no-area",
+             "transmitters-no-count", "radio-R-inf"],
+    )
+    def test_rejected_file(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse(text)
 
     def test_multiple_clusters(self):
         spec = parse(
@@ -345,6 +370,34 @@ class TestRoundTrip:
         spec = replace(builtin("c1"), mobility=replace(MobilityParams(), pause_max=7.0))
         with pytest.raises(ValueError, match="MobilityParams"):
             render(spec)
+
+
+_AREA = AreaRect(0.0, 0.0, 9.0, 9.0)
+
+
+class TestSpecChecks:
+    def test_group_counts_must_be_positive(self):
+        with pytest.raises(ConfigError, match="^node count must be positive$"):
+            Cluster(0, _AREA)
+        with pytest.raises(ConfigError, match="^count must be positive$"):
+            TransmitterGroup(0, _AREA)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(clusters=(Cluster(2, _AREA),), radio=None, trace="t.csv"),
+             "trace mode excludes clusters and radio geometry"),
+            (dict(clusters=(), transmitters=TransmitterGroup(2, _AREA), radio=None, trace="t.csv"),
+             "trace mode excludes clusters and radio geometry"),
+            (dict(clusters=(), trace="t.csv"), "trace mode excludes clusters and radio geometry"),
+            (dict(clusters=()), "a geometric scenario needs at least one cluster"),
+            (dict(clusters=(Cluster(2, _AREA),), radio=None),
+             "a geometric scenario needs radio parameters"),
+        ],
+    )
+    def test_mode_checks(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ScenarioSpec(name="s", **kwargs)
 
 
 class TestFingerprint:
