@@ -214,9 +214,14 @@ TRACE_HEADER = ["t_start_ms", "t_end_ms", "node_a", "node_b"]
 def load_trace(path) -> ContactTrace:
     """Read a contact trace CSV: t_start_ms,t_end_ms,node_a,node_b.
 
-    A malformed row fails with `path:line:` before the message.
+    A malformed row fails with `path:line:` before the message, and a
+    file that cannot be opened with `path:` before the reason.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read contact trace: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRACE_HEADER:

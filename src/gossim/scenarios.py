@@ -35,16 +35,6 @@ class Cluster:
 
 
 @dataclass(frozen=True)
-class TransmitterGroup:
-    count: int
-    area: AreaRect
-
-    def __post_init__(self):
-        if self.count <= 0:
-            raise ConfigError("count must be positive")
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """One workload: node layout, mobility, radio, engine and protocol.
 
@@ -56,7 +46,7 @@ class ScenarioSpec:
 
     name: str
     clusters: tuple[Cluster, ...]
-    transmitters: Optional[TransmitterGroup] = None
+    transmitters: Optional[Cluster] = None
     mobility: MobilityParams = MobilityParams()
     radio: Optional[RadioParams] = RadioParams(r=3.0, R=5.0, p_min=0.3)
     engine: EngineParams = EngineParams()
@@ -74,22 +64,20 @@ class ScenarioSpec:
             if self.radio is None:
                 raise ConfigError("a geometric scenario needs radio parameters")
 
-    @property
-    def n_nodes(self) -> int:
-        return sum(count for count, _ in self.node_areas())
-
     def node_areas(self) -> Iterator[tuple[int, AreaRect]]:
-        """(count, roaming area) groups in node-id order."""
-        for c in self.clusters:
-            yield c.node_count, c.area
-        if self.transmitters is not None:
-            yield self.transmitters.count, self.transmitters.area
+        """(count, roaming area) groups in node-id order, transmitters last."""
+        extra = () if self.transmitters is None else (self.transmitters,)
+        for group in self.clusters + extra:
+            yield group.node_count, group.area
 
     def workload_fingerprint(self) -> str:
         """Identifies the workload minus the protocol, for fair pairing."""
+        t = self.transmitters
         parts = [
             repr([(c.node_count, c.area) for c in self.clusters]),
-            repr(self.transmitters),
+            # spelled as the repr of the class transmitters once had, so the
+            # fingerprint, and every pinned RunRecord digest, keeps its bytes
+            "None" if t is None else f"TransmitterGroup(count={t.node_count!r}, area={t.area!r})",
             repr(self.mobility),
             repr(self.radio),
             repr(self.engine),
@@ -128,7 +116,7 @@ def _tiles(per_row: int, size: float, pitch: float) -> list[AreaRect]:
     ]
 
 
-# name -> (clusters as (node count, area), transmitter group or None)
+# name -> (clusters as (node count, area), transmitters or None)
 _BUILTINS = {
     "c1": ([(2000, _rect(0, 0, 250, 250))], None),
     "c1-sparse": ([(2000, _rect(0, 0, 1100, 1100))], None),
@@ -136,17 +124,17 @@ _BUILTINS = {
     "c2": ([(1000, _rect(0, 0, 800, 800)), (1000, _rect(700, 700, 1500, 1500))], None),
     "c2-social": (
         [(950, _rect(0, 0, 800, 800)), (950, _rect(1200, 1200, 2000, 2000))],
-        TransmitterGroup(100, _rect(0, 0, 2000, 2000)),
+        Cluster(100, _rect(0, 0, 2000, 2000)),
     ),
     "c4": ([(500, a) for a in _tiles(2, 550, 550)], None),
     "c4-social": (
         [(475, a) for a in _tiles(2, 550, 750)],
-        TransmitterGroup(100, _rect(0, 0, 1300, 1300)),
+        Cluster(100, _rect(0, 0, 1300, 1300)),
     ),
     "c9": ([(250, a) for a in _tiles(3, 400, 400)], None),
     "c9-social": (
         [(240, a) for a in _tiles(3, 400, 550)],
-        TransmitterGroup(90, _rect(0, 0, 1500, 1500)),
+        Cluster(90, _rect(0, 0, 1500, 1500)),
     ),
 }
 BUILTIN_NAMES = tuple(_BUILTINS)
@@ -171,23 +159,18 @@ def desk_scale(spec: ScenarioSpec) -> ScenarioSpec:
         return spec
     s = 1.0 / math.sqrt(10.0)
 
-    def shrink(a: AreaRect) -> AreaRect:
-        return AreaRect(a.x_min * s, a.y_min * s, a.x_max * s, a.y_max * s)
-
-    clusters = tuple(
-        Cluster(max(1, round(c.node_count / 10)), shrink(c.area))
-        for c in spec.clusters
-    )
-    transmitters = spec.transmitters
-    if transmitters is not None:
-        transmitters = TransmitterGroup(
-            max(1, round(transmitters.count / 10)), shrink(transmitters.area)
+    def shrink(group: Cluster) -> Cluster:
+        a = group.area
+        return Cluster(
+            max(1, round(group.node_count / 10)),
+            AreaRect(a.x_min * s, a.y_min * s, a.x_max * s, a.y_max * s),
         )
+
     return replace(
         spec,
         name=spec.name + "@desk",
-        clusters=clusters,
-        transmitters=transmitters,
+        clusters=tuple(map(shrink, spec.clusters)),
+        transmitters=None if spec.transmitters is None else shrink(spec.transmitters),
     )
 
 
@@ -226,7 +209,7 @@ _SCHEMA = {
     # a group section builds a new object and needs every key; [cluster]
     # may repeat
     "cluster": (("nodes", "node_count", int), ("area", "area", _parse_area)),
-    "transmitters": (("count", "count", int), ("area", "area", _parse_area)),
+    "transmitters": (("count", "node_count", int), ("area", "area", _parse_area)),
     # any other section overrides fields of the base spec's value, and
     # fills the ScenarioSpec field of its own name
     "radio": (("r", "r", float), ("R", "R", float), ("p_min", "p_min", float)),
@@ -237,7 +220,7 @@ _SCHEMA = {
         ("tokens", "initial_tokens", int),
     ),
 }
-_GROUPS = {"cluster": Cluster, "transmitters": TransmitterGroup}
+_GROUPS = ("cluster", "transmitters")  # sections that each build a Cluster
 # the keys each section accepts; "" is the top level
 _KEYS = {section: [key for key, _, _ in rows] for section, rows in _SCHEMA.items()}
 _KEYS[""] = ["builtin"] + [key for key, _, _ in _TOP]
@@ -297,7 +280,9 @@ def _build(top: dict, sections: list[tuple[str, dict]], name: str) -> ScenarioSp
     if "builtin" in top:
         if "trace" in top or any(s in _GROUPS for s, _ in sections):
             raise ConfigError("builtin cannot be combined with explicit geometry")
-        base = dict(vars(builtin(top["builtin"][0])))
+        # builtin reads the value as a row's converter would, so an
+        # unknown name fails with its line
+        base = dict(vars(_values(top, [("builtin", "spec", builtin)])["spec"]))
     else:
         base = dict(_DEFAULTS, name=name, clusters=())
         if "trace" in top:
@@ -306,12 +291,12 @@ def _build(top: dict, sections: list[tuple[str, dict]], name: str) -> ScenarioSp
     for section, keys in sections:
         rows = _SCHEMA[section]
         values = _values(keys, rows)
-        group = _GROUPS.get(section)
-        if group is not None and len(values) < len(rows):
+        group = section in _GROUPS
+        if group and len(values) < len(rows):
             raise ConfigError(f"[{section}] needs {' and '.join(_KEYS[section])}")
         try:
-            if group is not None:
-                value = group(**values)
+            if group:
+                value = Cluster(**values)
             else:
                 # a trace scenario's radio is None; a [radio] section there
                 # builds on the default, and ScenarioSpec rejects the result

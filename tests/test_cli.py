@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,23 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "error: radio: r, R and p_min must be finite\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "trace, reason",
+        [("missing.csv", "No such file or directory"), ("", "No such file or directory"),
+         (".", "Is a directory")],
+        ids=["missing", "empty", "dir"],
+    )
+    def test_unreadable_trace_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                command, trace, reason):
+        monkeypatch.chdir(tmp_path)
+        Path("t.cfg").write_text(f"trace = {trace}\n")
+        args = ["--protocol", "fp"] if command == "run" else ["--protocols", "fp"]
+        code = main([command, "--scenario", "t.cfg", *args, "--out", "o"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {trace}: cannot read contact trace: {reason}\n"
+        assert not Path("o").exists()
 
     def test_unknown_subcommand(self):
         assert main(["launch"]) == EXIT_CONFIG

@@ -17,7 +17,6 @@ from gossim.scenarios import (
     Cluster,
     ConfigError,
     ScenarioSpec,
-    TransmitterGroup,
     builtin,
     desk_scale,
     parse,
@@ -38,10 +37,14 @@ EXPECTED_COUNTS = {
 }
 
 
+def _node_count(spec):
+    return sum(count for count, _ in spec.node_areas())
+
+
 class TestBuiltins:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_node_counts(self, name):
-        assert builtin(name).n_nodes == EXPECTED_COUNTS[name]
+        assert _node_count(builtin(name)) == EXPECTED_COUNTS[name]
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
@@ -64,7 +67,7 @@ class TestDeskScale:
     def test_counts_and_lengths(self):
         spec = desk_scale(builtin("c9"))
         assert spec.name == "c9@desk"
-        assert spec.n_nodes == 225
+        assert _node_count(spec) == 225
         full = builtin("c9").clusters[0].area
         small = spec.clusters[0].area
         assert small.x_max == pytest.approx(full.x_max / 10 ** 0.5)
@@ -75,8 +78,8 @@ class TestDeskScale:
         area_full = 250.0 * 250.0
         a = desk.clusters[0].area
         area_desk = (a.x_max - a.x_min) * (a.y_max - a.y_min)
-        density_full = full.n_nodes / area_full
-        density_desk = desk.n_nodes / area_desk
+        density_full = _node_count(full) / area_full
+        density_desk = _node_count(desk) / area_desk
         assert density_desk == pytest.approx(density_full, rel=0.01)
 
     def test_trace_unchanged(self):
@@ -95,7 +98,7 @@ class TestParse:
             """
         )
         assert spec.seed == 3
-        assert spec.n_nodes == 10
+        assert _node_count(spec) == 10
         assert spec.protocol == protocols.gcp(5)
 
     def test_comments_and_blank_lines(self):
@@ -105,7 +108,7 @@ class TestParse:
     def test_builtin_reference(self):
         spec = parse("builtin = c9\nseed = 7\n")
         assert spec.name == "c9"
-        assert spec.n_nodes == 2250
+        assert _node_count(spec) == 2250
         assert spec.seed == 7
 
     def test_builtin_with_geometry_conflicts(self):
@@ -171,6 +174,7 @@ class TestParse:
             ("seed = 1\nseed 2\n", "line 2: expected key = value"),
             ("[cluster]\nnodes = 2\n", "[cluster] needs nodes and area"),
             ("[transmitters]\narea = 0 0 9 9\n", "[transmitters] needs count and area"),
+            ("builtin = c99\nseed = 2\n", "line 1: unknown builtin scenario 'c99'"),
             (
                 # else every receiver beyond r is silently dropped
                 "[cluster]\nnodes = 2\narea = 0 0 9 9\n[radio]\nR = inf\n",
@@ -178,7 +182,7 @@ class TestParse:
             ),
         ],
         ids=["area-not-a-number", "second-radio", "no-equals", "cluster-no-area",
-             "transmitters-no-count", "radio-R-inf"],
+             "transmitters-no-count", "unknown-builtin", "radio-R-inf"],
     )
     def test_rejected_file(self, text, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -189,7 +193,7 @@ class TestParse:
             "[cluster]\nnodes = 2\narea = 0 0 9 9\n"
             "[cluster]\nnodes = 3\narea = 20 20 30 30\n"
         )
-        assert spec.n_nodes == 5
+        assert _node_count(spec) == 5
 
 
 # An oracle written apart from the schema table: for each key, the field
@@ -197,7 +201,7 @@ class TestParse:
 _CHANGES = {
     ("cluster", "nodes"): ("node_count", "3", 3),
     ("cluster", "area"): ("area", "1 1 8 8", AreaRect(1.0, 1.0, 8.0, 8.0)),
-    ("transmitters", "count"): ("count", "4", 4),
+    ("transmitters", "count"): ("node_count", "4", 4),
     ("transmitters", "area"): ("area", "0 0 30 30", AreaRect(0.0, 0.0, 30.0, 30.0)),
     ("radio", "r"): ("r", "2.5", 2.5),
     ("radio", "R"): ("R", "6.5", 6.5),
@@ -324,7 +328,7 @@ def _specs(draw):
             )
         )
         if draw(st.booleans()):
-            transmitters = TransmitterGroup(draw(st.integers(min_value=1, max_value=500)), draw(_areas()))
+            transmitters = Cluster(draw(st.integers(min_value=1, max_value=500)), draw(_areas()))
     return ScenarioSpec(
         name="custom",
         clusters=clusters,
@@ -379,15 +383,15 @@ class TestSpecChecks:
     def test_group_counts_must_be_positive(self):
         with pytest.raises(ConfigError, match="^node count must be positive$"):
             Cluster(0, _AREA)
-        with pytest.raises(ConfigError, match="^count must be positive$"):
-            TransmitterGroup(0, _AREA)
+        with pytest.raises(ConfigError, match="^transmitters: node count must be positive$"):
+            parse(_file("transmitters", "count", "0"))
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
             (dict(clusters=(Cluster(2, _AREA),), radio=None, trace="t.csv"),
              "trace mode excludes clusters and radio geometry"),
-            (dict(clusters=(), transmitters=TransmitterGroup(2, _AREA), radio=None, trace="t.csv"),
+            (dict(clusters=(), transmitters=Cluster(2, _AREA), radio=None, trace="t.csv"),
              "trace mode excludes clusters and radio geometry"),
             (dict(clusters=(), trace="t.csv"), "trace mode excludes clusters and radio geometry"),
             (dict(clusters=()), "a geometric scenario needs at least one cluster"),
@@ -405,6 +409,18 @@ class TestFingerprint:
         a = builtin("c1", protocols.fp(), seed=4)
         b = builtin("c1", protocols.gcp(5), seed=4)
         assert a.workload_fingerprint() == b.workload_fingerprint()
+
+    @pytest.mark.parametrize(
+        "name, full, desk",
+        [("c9-social", "d82c9611c2a91076", "476d52eb5ec578b6"),
+         ("c1", "c2b91f1e6cd9cde4", "509c19ca2691cfa2")],
+    )
+    def test_pinned(self, name, full, desk):
+        # every RunRecord digest pinned in tests/test_golden.py and
+        # bench/golden.json hashes this fingerprint
+        spec = builtin(name)
+        assert spec.workload_fingerprint() == full
+        assert desk_scale(spec).workload_fingerprint() == desk
 
     def test_tracks_seed(self):
         a = builtin("c1", seed=4)
