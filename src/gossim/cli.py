@@ -65,6 +65,9 @@ def _write_run_outputs(outdir: Path, spec, rec: metrics.RunRecord):
 
 
 def _cmd_run(args) -> int:
+    if args.tokens is not None and args.protocol is None:
+        # the scenario's own protocol would run and the budget go unused
+        raise ConfigError("--tokens needs --protocol")
     spec = _load_scenario(args.scenario, args.scale)
     if args.protocol is not None:
         spec = replace(spec, protocol=protocols.from_name(args.protocol, args.tokens))

@@ -200,11 +200,17 @@ def _parse_area(value: str) -> AreaRect:
         raise ConfigError(str(exc)) from None
 
 
+def _parse_path(value: str) -> str:
+    if not value:
+        raise ConfigError("trace needs a file path")
+    return value
+
+
 # The file format, stated once: parse checks keys against these rows,
 # _build applies them and render writes them.  A row maps a file key to
 # the dataclass field it sets and the converter that reads its value.
 # Top-level rows set ScenarioSpec fields; `builtin` picks the base spec.
-_TOP = (("seed", "seed", int), ("trace", "trace", str))
+_TOP = (("seed", "seed", int), ("trace", "trace", _parse_path))
 _SCHEMA = {
     # a group section builds a new object and needs every key; [cluster]
     # may repeat
@@ -331,16 +337,17 @@ def render(spec: ScenarioSpec) -> str:
 
     Every key is written, `tokens` too: without token control its value
     is the normalized 1, which parse reads back to an equal config.
-    Raises ValueError for a trace path that no config line can hold: one
-    with leading or trailing whitespace, a line break, or a '#' at its
-    start or after whitespace (parse would read a comment there).  Raises
-    it too for non-default mobility, which no config key holds.
+    Raises ValueError for a trace path that no config line can hold: an
+    empty one, one with leading or trailing whitespace, a line break, or a
+    '#' at its start or after whitespace (parse would read a comment
+    there).  Raises it too for non-default mobility, which no config key
+    holds.
     """
     if spec.mobility != _DEFAULTS["mobility"]:
         raise ValueError(f"{spec.mobility!r} cannot be written to a scenario file")
     path = spec.trace
     if path is not None and (
-        path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path)
+        not path or path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path)
     ):
         raise ValueError(f"trace path {path!r} cannot be written to a scenario file")
     lines = _lines(spec, _TOP)

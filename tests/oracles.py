@@ -150,7 +150,7 @@ class ReferenceSimulation(engine.Simulation):
         tokens = self.tokens
         tx = rx = 0
         for now in range(ep.duration + 1):
-            bucket = self.queue.get(now)
+            bucket = self.queue[now]
             if bucket is None:
                 continue
             # events that a zero latency queues for this ms join its list
@@ -186,5 +186,5 @@ class ReferenceSimulation(engine.Simulation):
                     self.update_events.append((now, target, ep.injected_version))
                     if self.record_actions:
                         self.actions.append((now, target, UpdateLocal(ep.injected_version)))
-            del self.queue[now]
+            self.queue[now] = None
         return self._record(tx, rx)

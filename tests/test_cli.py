@@ -116,20 +116,30 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(
-        "trace, reason",
-        [("missing.csv", "No such file or directory"), ("", "No such file or directory"),
-         (".", "Is a directory")],
+        "trace, message",
+        [("missing.csv", "missing.csv: cannot read contact trace: No such file or directory"),
+         # an empty path is refused where it is read, by its line
+         ("", "line 1: trace needs a file path"),
+         (".", ".: cannot read contact trace: Is a directory")],
         ids=["missing", "empty", "dir"],
     )
     def test_unreadable_trace_is_a_config_error(self, tmp_path, monkeypatch, capsys,
-                                                command, trace, reason):
+                                                command, trace, message):
         monkeypatch.chdir(tmp_path)
         Path("t.cfg").write_text(f"trace = {trace}\n")
         args = ["--protocol", "fp"] if command == "run" else ["--protocols", "fp"]
         code = main([command, "--scenario", "t.cfg", *args, "--out", "o"])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {trace}: cannot read contact trace: {reason}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not Path("o").exists()
+
+    def test_tokens_without_protocol_writes_nothing(self, tiny_cfg, tmp_path, capsys):
+        # the scenario's own protocol would run and the budget be dropped
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", tiny_cfg, "--tokens", "3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --tokens needs --protocol\n"
+        assert not out.exists()
 
     def test_unknown_subcommand(self):
         assert main(["launch"]) == EXIT_CONFIG

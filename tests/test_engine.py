@@ -58,7 +58,7 @@ class TestEngineParams:
     )
     @pytest.mark.parametrize("value", [100.0, 1.5, True, "100"])
     def test_times_must_be_int_ms(self, field, value):
-        # a float time would never meet the calendar queue's integer buckets
+        # a float time cannot index the calendar queue's per-ms buckets
         with pytest.raises(ValueError, match=field):
             EngineParams(**{field: value})
 
@@ -288,6 +288,28 @@ class TestTraceProperties:
     def test_matches_reference_scheduler(self, case):
         with _replayed(case) as spec:
             _assert_matches_reference(spec)
+
+
+class TestClosedFormBeaconCounts:
+    # a period of 1 ms puts every phase at 0, so each node's first beacon
+    # lands at the latency: at the run's last ms it is the only one, and
+    # one ms later there is none
+    @pytest.mark.parametrize("extra, sends", [(0, 1), (1, 0)], ids=["last-ms", "after-run"])
+    def test_latency_at_the_run_edge(self, extra, sends):
+        duration = 300
+        engine = EngineParams(
+            beacon_period=1, delivery_latency=duration + extra, duration=duration,
+            injection_time=0,
+        )
+        # fp sends no pull beacon, so every beacon counted is periodic
+        contacts = [(0, duration + 1, 0, 1), (5, 200, 1, 2)]
+        with _replayed((contacts, protocols.fp(), engine, 3)) as spec:
+            sim = Simulation(spec)
+            rec = sim.run()
+            ref = ReferenceSimulation(spec)
+            assert rec == ref.run()
+        assert rec.beacon_sends == {node: 1 for node in range(3) if sends}
+        assert sim.seq == ref.seq == 1 + 3 * sends  # the injection and the beacons
 
 
 @st.composite

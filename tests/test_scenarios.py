@@ -175,6 +175,8 @@ class TestParse:
             ("[cluster]\nnodes = 2\n", "[cluster] needs nodes and area"),
             ("[transmitters]\narea = 0 0 9 9\n", "[transmitters] needs count and area"),
             ("builtin = c99\nseed = 2\n", "line 1: unknown builtin scenario 'c99'"),
+            # else the run fails opening "", naming neither path nor line
+            ("seed = 1\ntrace =\n", "line 2: trace needs a file path"),
             (
                 # else every receiver beyond r is silently dropped
                 "[cluster]\nnodes = 2\narea = 0 0 9 9\n[radio]\nR = inf\n",
@@ -182,7 +184,7 @@ class TestParse:
             ),
         ],
         ids=["area-not-a-number", "second-radio", "no-equals", "cluster-no-area",
-             "transmitters-no-count", "unknown-builtin", "radio-R-inf"],
+             "transmitters-no-count", "unknown-builtin", "empty-trace", "radio-R-inf"],
     )
     def test_rejected_file(self, text, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -363,7 +365,7 @@ class TestRoundTrip:
         assert parse("trace = runs/day#2.csv  # second day\n").trace == "runs/day#2.csv"
 
     @pytest.mark.parametrize(
-        "path", ["runs/day #2.csv", "#day2.csv", " day2.csv", "day2.csv\t", "a\nb.csv"]
+        "path", ["", "runs/day #2.csv", "#day2.csv", " day2.csv", "day2.csv\t", "a\nb.csv"]
     )
     def test_render_refuses_unwritable_trace_path(self, path):
         with pytest.raises(ValueError, match="trace path"):
