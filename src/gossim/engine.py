@@ -103,12 +103,11 @@ def _stream(seed: int, name: str) -> random.Random:
 
 
 class Simulation:
-    def __init__(self, spec, record_actions: bool = False):
+    def __init__(self, spec):
         self.spec = spec
         self.cfg = spec.protocol
         self.ep: EngineParams = spec.engine
         self.seed = spec.seed
-        self.record_actions = record_actions
 
         self.rng_radio = _stream(self.seed, "radio")
         self.rng_corruption = _stream(self.seed, "corruption")
@@ -146,7 +145,6 @@ class Simulation:
         self.update_events: list[tuple[int, int, int]] = []
         self.software_sends: dict[int, dict[int, int]] = {}
         self.beacon_sends: dict[int, int] = {}
-        self.actions: list[tuple] = []
 
         # calendar queue: bucket `ms` is None or that ms's events in push
         # order, each a periodic beacon's node id or a (kind, node, payload)
@@ -208,8 +206,6 @@ class Simulation:
             self._push(t + self.ep.delivery_latency, _TX_BEACON, node, version)
         else:  # UpdateLocal
             self.update_events.append((t, node, act.version))
-        if self.record_actions:
-            self.actions.append((t, node, act))
 
     # -- main loop ------------------------------------------------------
 
@@ -334,13 +330,12 @@ class Simulation:
             beacon_tx_count=tx,
             beacon_rx_sum=rx,
             metadata=metadata,
-            action_log=self.actions if self.record_actions else None,
         )
 
 
-def run(spec, record_actions: bool = False) -> RunRecord:
+def run(spec) -> RunRecord:
     """Execute one scenario and return its RunRecord."""
-    return Simulation(spec, record_actions=record_actions).run()
+    return Simulation(spec).run()
 
 
 def run_grid(spec, cells, seeds) -> dict[tuple, RunRecord]:

@@ -32,6 +32,9 @@ class RunRecord:
     beacon_tx_count: int = 0  # beacon transmissions, for the mean below
     beacon_rx_sum: int = 0  # total sampled receivers over those transmissions
     metadata: dict[str, str] = field(default_factory=dict)
+    # (t, node, action) per protocol action; only tests fill it, through
+    # tests/oracles.LoggedSimulation, and bench/workloads.record_digest
+    # deletes it by name
     action_log: Optional[list[tuple]] = None
 
     def total_software_sends(self) -> int:

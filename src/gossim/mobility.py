@@ -214,8 +214,8 @@ TRACE_HEADER = ["t_start_ms", "t_end_ms", "node_a", "node_b"]
 def load_trace(path) -> ContactTrace:
     """Read a contact trace CSV: t_start_ms,t_end_ms,node_a,node_b.
 
-    A malformed row fails with `path:line:` before the message, and a
-    file that cannot be opened with `path:` before the reason.
+    A malformed header or row fails with `path:line:` before the message,
+    and a file that cannot be opened with `path:` before the reason.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -225,7 +225,7 @@ def load_trace(path) -> ContactTrace:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRACE_HEADER:
-            raise ValueError(f"bad trace header {header!r}, want {TRACE_HEADER}")
+            raise ValueError(f"{path}:1: bad trace header {header!r}, want {TRACE_HEADER}")
         try:
             # rows are parsed as ContactTrace checks them, so the reader
             # is still on the line of the row that fails

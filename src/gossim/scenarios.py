@@ -56,6 +56,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.trace is not None:
+            if not self.trace:
+                raise ConfigError("a trace scenario needs a trace path")
             if self.clusters or self.transmitters or self.radio is not None:
                 raise ConfigError("trace mode excludes clusters and radio geometry")
         else:
@@ -337,17 +339,16 @@ def render(spec: ScenarioSpec) -> str:
 
     Every key is written, `tokens` too: without token control its value
     is the normalized 1, which parse reads back to an equal config.
-    Raises ValueError for a trace path that no config line can hold: an
-    empty one, one with leading or trailing whitespace, a line break, or a
-    '#' at its start or after whitespace (parse would read a comment
-    there).  Raises it too for non-default mobility, which no config key
-    holds.
+    Raises ValueError for a trace path that no config line can hold: one
+    with leading or trailing whitespace, a line break, or a '#' at its
+    start or after whitespace (parse would read a comment there).  Raises
+    it too for non-default mobility, which no config key holds.
     """
     if spec.mobility != _DEFAULTS["mobility"]:
         raise ValueError(f"{spec.mobility!r} cannot be written to a scenario file")
     path = spec.trace
     if path is not None and (
-        not path or path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path)
+        path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path)
     ):
         raise ValueError(f"trace path {path!r} cannot be written to a scenario file")
     lines = _lines(spec, _TOP)

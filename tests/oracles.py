@@ -3,11 +3,13 @@
 Each one answers the same question as a fast path in the package by
 looking at every node, pair or contact, by walking a node one whole
 segment at a time, or by queueing every periodic beacon as an event, so
-tests can compare the two.
+tests can compare the two.  LoggedSimulation adds the action log that
+those comparisons also check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -126,17 +128,36 @@ def walk(
     return out
 
 
+class LoggedSimulation(engine.Simulation):
+    """The engine with every protocol action logged as (t, node, action).
+
+    The injection's UpdateLocal is logged too; the record carries the log
+    as its `action_log`.
+    """
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.actions = []
+
+    def _apply(self, node, t, act):
+        self.actions.append((t, node, act))
+        super()._apply(node, t, act)
+
+    def _record(self, tx, rx):
+        return dataclasses.replace(super()._record(tx, rx), action_log=self.actions)
+
+
 _PERIODIC = 0  # a periodic beacon, as a queued event
 
 
-class ReferenceSimulation(engine.Simulation):
+class ReferenceSimulation(LoggedSimulation):
     """The engine with every periodic beacon a tuple event from `_push`.
 
     Each beacon is an event that queues the node's next one once its
     receivers have queued theirs; every ms runs its events in push order.
     This is the plain statement of the order that `Simulation.run` keeps
     with bare node ids in the same queue, and of the events that `seq`
-    counts.
+    counts.  It logs its actions as LoggedSimulation does.
     """
 
     def run(self):
@@ -183,8 +204,6 @@ class ReferenceSimulation(engine.Simulation):
                     target = self.rng_inject.randrange(self.n)
                     versions[target] = ep.injected_version
                     tokens[target] = cfg.initial_tokens
-                    self.update_events.append((now, target, ep.injected_version))
-                    if self.record_actions:
-                        self.actions.append((now, target, UpdateLocal(ep.injected_version)))
+                    self._apply(target, now, UpdateLocal(ep.injected_version))
             self.queue[now] = None
         return self._record(tx, rx)

@@ -6,7 +6,7 @@ or check the failure output).  The `gossim validate` subcommand runs
 the same suite.
 """
 
-from gossim import acceptance
+from gossim import acceptance, engine, protocols
 
 
 def _check(result):
@@ -24,6 +24,22 @@ def test_criterion_02_radio_model():
 
 def test_criterion_03_flag_square():
     _check(acceptance.criterion_3_flag_square())
+
+
+def test_criterion_03_catches_unnormalized_budget(monkeypatch):
+    # without the normalization, dropping token control from gcp(5) keeps
+    # its budget of 5, so two derived corners differ from pbp and fp;
+    # the check compares configs and runs nothing
+    def no_run(self, spec):
+        raise AssertionError("criterion 3 built a Simulation")
+
+    monkeypatch.setattr(protocols.ProtocolConfig, "__post_init__", lambda self: None)
+    monkeypatch.setattr(engine.Simulation, "__init__", no_run)
+    result = acceptance.criterion_3_flag_square()
+    assert not result.passed
+    assert result.detail == (
+        "wired=True, mismatches=['gcp minus tokens == pbp', 'gcp minus both == fp']"
+    )
 
 
 def test_criterion_04_speed_ordering():

@@ -16,7 +16,7 @@ from gossim.metrics import convergence_series
 from gossim.mobility import AreaRect, MobilityParams, TRACE_HEADER
 from gossim.radio import RadioParams
 
-from oracles import ReferenceSimulation, contacts_of, sample_receivers
+from oracles import LoggedSimulation, ReferenceSimulation, contacts_of, sample_receivers
 
 
 def tiny_spec(nodes=5, side=8.0, protocol=None, seed=0, duration=4000):
@@ -233,8 +233,8 @@ def _assert_matches_reference(spec):
     # queueing each beacon as a bare node id runs the same events in the
     # same order as the plain reference loop: same record, same actions,
     # same count
-    sim = Simulation(spec, record_actions=True)
-    ref = ReferenceSimulation(spec, record_actions=True)
+    sim = LoggedSimulation(spec)
+    ref = ReferenceSimulation(spec)
     assert sim.run() == ref.run()
     assert sim.seq == ref.seq
 
@@ -304,7 +304,7 @@ class TestClosedFormBeaconCounts:
         # fp sends no pull beacon, so every beacon counted is periodic
         contacts = [(0, duration + 1, 0, 1), (5, 200, 1, 2)]
         with _replayed((contacts, protocols.fp(), engine, 3)) as spec:
-            sim = Simulation(spec)
+            sim = LoggedSimulation(spec)
             rec = sim.run()
             ref = ReferenceSimulation(spec)
             assert rec == ref.run()
@@ -414,8 +414,8 @@ class TestGeometricAgainstContacts:
         # fast nodes move metres within a grid epoch, so the margin counts
         case = (contacts_of(spec), spec.protocol, spec.engine, spec.seed)
         with _replayed(case) as trace_spec:
-            replayed = run(trace_spec, record_actions=True)
-        geometric = run(spec, record_actions=True)
+            replayed = LoggedSimulation(trace_spec).run()
+        geometric = LoggedSimulation(spec).run()
         # every field but the two that name the mode
         same_mode = dict(metadata=None, workload_fingerprint=None)
         assert dataclasses.replace(geometric, **same_mode) == dataclasses.replace(

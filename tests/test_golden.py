@@ -21,6 +21,8 @@ from gossim import engine, protocols, scenarios
 from gossim.mobility import AreaRect, MobilityParams
 from gossim.radio import RadioParams
 
+from oracles import LoggedSimulation
+
 
 def dense_spec(protocol, duration=3000, **engine_params):
     """30 nodes on a 12 m square: the update reaches every node."""
@@ -101,6 +103,6 @@ def record_digest(rec) -> str:
 def test_golden_digest(cell, tmp_path, monkeypatch):
     shutil.copy(scenarios.sample_trace_path(), tmp_path / "sample_trace.csv")
     monkeypatch.chdir(tmp_path)
-    make_spec, record_actions = CELLS[cell]
-    rec = engine.run(make_spec(), record_actions=record_actions)
+    make_spec, logged = CELLS[cell]
+    rec = (LoggedSimulation if logged else engine.Simulation)(make_spec()).run()
     assert record_digest(rec) == GOLDEN[cell], f"{cell}: {record_digest(rec)}"

@@ -272,8 +272,17 @@ class TestLoadTrace:
     def test_bad_header(self, tmp_path):
         p = tmp_path / "trace.csv"
         p.write_text("start,end,a,b\n0,1,0,1\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match="header") as err:
             load_trace(p)
+        # named like a bad row, by file and line
+        assert str(err.value).startswith(f"{p}:1: bad trace header ['start', 'end', 'a', 'b']")
+
+    def test_empty_file_fails_on_the_header(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        p.write_text("")
+        with pytest.raises(ValueError) as err:
+            load_trace(p)
+        assert str(err.value) == f"{p}:1: bad trace header None, want {TRACE_HEADER}"
 
     def test_error_carries_line_number(self, tmp_path):
         p = self._write(tmp_path, ["0,100,0,1", "7,abc,1,2"])

@@ -440,3 +440,8 @@ class TestTraceScenario:
         spec = trace_scenario(sample_trace_path())
         assert spec.clusters == ()
         assert spec.radio is None
+
+    def test_empty_path_rejected(self):
+        # library code gets the error at once, not an unnamed file at run time
+        with pytest.raises(ConfigError, match="trace path"):
+            trace_scenario("", protocols.fp())
