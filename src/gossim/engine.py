@@ -132,7 +132,8 @@ class Simulation:
                     self.motions.append(mob.NodeMotion(pos, area, spec.mobility, rng))
             self.n = len(self.motions)
             margin = spec.mobility.speed_max * GRID_EPOCH_MS / 1000.0
-            self.grid = SpatialGrid(spec.radio.R + margin)
+            areas = [area for _, area in spec.node_areas()]
+            self.grid = SpatialGrid(spec.radio.R + margin, areas)
             self.grid_valid_until = -1.0
             self.radio = spec.radio
 
@@ -171,7 +172,7 @@ class Simulation:
         """Sampled receivers of a geometric transmission at time t."""
         motions = self.motions
         if t > self.grid_valid_until:
-            self.grid.rebuild([(i, *m.position_at(t)) for i, m in enumerate(motions)])
+            self.grid.rebuild([m.position_at(t) for m in motions])
             self.grid_valid_until = t + GRID_EPOCH_MS
         sx, sy = motions[sender].position_at(t)
         candidates = self.grid.candidates(sx, sy)
@@ -255,34 +256,39 @@ class Simulation:
             later_bucket = None
             # events that a zero latency queues for this ms join the list
             for item in todo:
-                periodic = type(item) is int
-                if periodic:
-                    # fired at (now - latency), counted in `fires`; carries
-                    # the sender's version at the delivery tick, where a pull
-                    # beacon's payload is the version it was sent with
-                    node = item
-                    kind = _TX_BEACON
-                    payload = versions[node] if piggyback else None
-                else:
-                    kind, node, payload = item
-                if kind == _TX_BEACON:
-                    receivers = receivers_of(node, now)
+                if type(item) is int:
+                    # a periodic beacon, fired at (now - latency) and counted
+                    # in `fires`; it carries the sender's version at the
+                    # delivery tick, where a pull beacon's payload is the
+                    # version it was sent with
+                    receivers = receivers_of(item, now)
                     tx += 1
                     if receivers:  # most periodic beacons on sparse layouts: none
                         rx += len(receivers)
+                        payload = versions[item] if piggyback else None
                         for rcv in receivers:
                             tokens[rcv], act = beacon_step(
                                 cfg, versions[rcv], tokens[rcv], payload
                             )
                             if act is not None:
                                 apply(rcv, now, act)
-                    if periodic and refire:
+                    if refire:
                         # behind what the receivers queued
                         if later_bucket is None:
                             later_bucket = queue[later]
                             if later_bucket is None:
                                 later_bucket = queue[later] = []
-                        later_bucket.append(node)
+                        later_bucket.append(item)
+                    continue
+                kind, node, payload = item
+                if kind == _TX_BEACON:
+                    receivers = receivers_of(node, now)
+                    tx += 1
+                    rx += len(receivers)
+                    for rcv in receivers:
+                        tokens[rcv], act = beacon_step(cfg, versions[rcv], tokens[rcv], payload)
+                        if act is not None:
+                            apply(rcv, now, act)
                 elif kind == _TX_SOFTWARE:
                     for rcv in receivers_of(node, now):
                         # each delivered copy carries the image's digest

@@ -58,7 +58,7 @@ class NodeMotion:
         "params", "rng",
         "seg_start", "seg_end", "paused",
         "ox", "oy", "vx", "vy", "last_t",
-        "x_lo", "x_span", "y_lo", "y_span",
+        "x_lo", "x_span", "x_span2", "y_lo", "y_span", "y_span2",
     )
 
     def __init__(
@@ -73,6 +73,9 @@ class NodeMotion:
         # the walls that position_at folds a leg back between
         self.x_lo, self.x_span = area.x_min, area.x_max - area.x_min
         self.y_lo, self.y_span = area.y_min, area.y_max - area.y_min
+        # the fold's period, stored: doubling is exact
+        self.x_span2 = 2.0 * self.x_span
+        self.y_span2 = 2.0 * self.y_span
         self.params = params
         self.rng = rng
         self.ox, self.oy = position
@@ -109,25 +112,23 @@ class NodeMotion:
             # the position at min(t, seg_end); past the end, it starts the next segment
             past = t >= self.seg_end
             if self.paused:
-                x = self.ox
-                y = self.oy
+                if not past:
+                    return self.ox, self.oy
             else:
                 # a straight leg, reflected at each wall it crosses: fold the
                 # unconstrained coordinate u into [lo, lo + span] (billiard
                 # unfolding, the same as mirroring the overshoot tick by tick)
                 dt = (self.seg_end if past else t) - self.seg_start
                 lo = self.x_lo
-                span = self.x_span
-                u = (self.ox + self.vx * dt - lo) % (2.0 * span)
-                x = lo + u if u <= span else lo + 2.0 * span - u
+                u = (self.ox + self.vx * dt - lo) % self.x_span2
+                x = lo + u if u <= self.x_span else lo + self.x_span2 - u
                 lo = self.y_lo
-                span = self.y_span
-                u = (self.oy + self.vy * dt - lo) % (2.0 * span)
-                y = lo + u if u <= span else lo + 2.0 * span - u
-            if not past:
-                return x, y
-            self.ox = x
-            self.oy = y
+                u = (self.oy + self.vy * dt - lo) % self.y_span2
+                y = lo + u if u <= self.y_span else lo + self.y_span2 - u
+                if not past:
+                    return x, y
+                self.ox = x
+                self.oy = y
             self._next_segment(leg=self.paused)
 
 

@@ -1,4 +1,4 @@
-"""Probabilistic 1-hop broadcast model with a spatial-hash accelerator."""
+"""Probabilistic 1-hop broadcast model with a cell-grid accelerator."""
 
 from __future__ import annotations
 
@@ -39,51 +39,79 @@ def delivery_probability(d: float, p: RadioParams) -> float:
     return p.p_min - math.sqrt(x) * (x - 5.0) * (1.0 - p.p_min) / 4.0
 
 
-# A cell (cx, cy) is keyed by the one int cx * _STRIDE + cy, so its 3x3
-# neighbourhood is the key plus nine fixed offsets.  Keys are linear in
-# (cx, cy), so a neighbour's node is always found under key + offset.
-# Two cells share a key only when their cy differ by a multiple of _STRIDE
-# (fields over 2**20 cells tall); the shared bucket then adds far
-# candidates, which the distance test drops, and never loses a near one.
-_STRIDE = 1 << 20
-_NEIGHBOURS = tuple(i * _STRIDE + j for i in (-1, 0, 1) for j in (-1, 0, 1))
+# at most this many slots (8 bytes each) in a grid's list
+MAX_SLOTS = 1 << 20
 
 
 class SpatialGrid:
-    """Uniform hash grid over node positions.
+    """Uniform cell grid over node positions in a bounded field.
 
-    Cell size must be at least the query radius so a 3x3 cell
-    neighbourhood is guaranteed to contain every candidate; the grid is
-    an accelerator only and can never produce false negatives.
+    Cell (cx, cy) holds the nodes at (x, y) with x // cell == cx and
+    y // cell == cy.  Cell size must be at least the query radius so a
+    3x3 cell neighbourhood is guaranteed to contain every candidate; the
+    grid is an accelerator only and can never produce false negatives.
+
+    The cells live in one flat list, column by column, over the bounding
+    box of `areas` (nodes never leave their areas) padded by two cells on
+    every side.  The walk's fold can leave a node a few ulps past a wall,
+    in the next cell out; the nine probes around it still stay inside its
+    own column and the list.  Each slot is None or its cell's nodes.  A
+    box that would need more than MAX_SLOTS slots doubles the cell size
+    until it fits: wider cells only add far candidates, which the
+    caller's distance test drops.
     """
 
-    __slots__ = ("cell", "cells")
+    __slots__ = ("cell", "rows", "base", "neighbours", "slots", "filled")
 
-    def __init__(self, cell_size: float):
-        self.cell = cell_size
-        self.cells: dict[int, list[int]] = {}
+    def __init__(self, cell_size: float, areas):
+        x_min = min(a.x_min for a in areas)
+        y_min = min(a.y_min for a in areas)
+        x_max = max(a.x_max for a in areas)
+        y_max = max(a.y_max for a in areas)
+        cell = cell_size
+        while True:
+            cx0 = int(x_min // cell) - 2
+            cy0 = int(y_min // cell) - 2
+            cols = int(x_max // cell) + 3 - cx0
+            rows = int(y_max // cell) + 3 - cy0
+            if cols * rows <= MAX_SLOTS:
+                break
+            cell *= 2.0
+        self.cell = cell
+        self.rows = rows
+        # cell (cx, cy) sits at slot cx * rows + cy - base
+        self.base = cx0 * rows + cy0
+        # a cell's 3x3 neighbourhood, as offsets from its slot
+        self.neighbours = tuple(i * rows + j for i in (-1, 0, 1) for j in (-1, 0, 1))
+        self.slots: list = [None] * (cols * rows)
+        self.filled: list[int] = []  # the slots that hold nodes
 
     def rebuild(self, positions):
-        """positions: iterable of (node, x, y)."""
-        cells: dict[int, list[int]] = {}
+        """positions: (x, y) of every node, indexed by node id."""
+        slots = self.slots
+        for k in self.filled:
+            slots[k] = None
+        filled = []
         cell = self.cell
-        for node, x, y in positions:
-            key = int(x // cell) * _STRIDE + int(y // cell)
-            bucket = cells.get(key)
+        rows = self.rows
+        base = self.base
+        for node, (x, y) in enumerate(positions):
+            k = int(x // cell) * rows + int(y // cell) - base
+            bucket = slots[k]
             if bucket is None:
-                cells[key] = [node]
+                slots[k] = [node]
+                filled.append(k)
             else:
                 bucket.append(node)
-        self.cells = cells
+        self.filled = filled
 
     def candidates(self, x: float, y: float) -> list[int]:
         """Nodes in the 3x3 cells around (x, y), as a fresh list."""
-        cell = self.cell
-        key = int(x // cell) * _STRIDE + int(y // cell)
-        get = self.cells.get
+        k = int(x // self.cell) * self.rows + int(y // self.cell) - self.base
+        slots = self.slots
         out: list[int] = []
-        for offset in _NEIGHBOURS:
-            bucket = get(key + offset)
+        for offset in self.neighbours:
+            bucket = slots[k + offset]
             if bucket:
                 out += bucket
         return out

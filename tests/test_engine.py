@@ -14,7 +14,7 @@ from gossim.core import digest_for
 from gossim.engine import EngineParams, Simulation, run, run_grid, verify_digest
 from gossim.metrics import convergence_series
 from gossim.mobility import AreaRect, MobilityParams, TRACE_HEADER
-from gossim.radio import RadioParams
+from gossim.radio import MAX_SLOTS, RadioParams
 
 from oracles import LoggedSimulation, ReferenceSimulation, contacts_of, sample_receivers
 
@@ -357,32 +357,73 @@ class TestGeometricProperties:
     @given(
         nodes=st.integers(1, 30),
         side=st.floats(2.0, 40.0),
+        origin=st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0)),
+        # a second cluster, 0 to 30 m past the first one's right wall
+        second=st.one_of(
+            st.none(), st.tuples(st.integers(1, 10), st.floats(0.0, 30.0), st.floats(-20.0, 20.0))
+        ),
         speed_max=st.sampled_from([2.0, 30.0]),
         seed=st.integers(0, 2**16),
         queries=st.lists(
-            st.tuples(st.integers(0, 29), st.integers(0, 250)), min_size=1, max_size=20
+            st.tuples(st.integers(0, 39), st.integers(0, 250)), min_size=1, max_size=20
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_radio_receivers_match_oracle(self, nodes, side, speed_max, seed, queries):
+    def test_radio_receivers_match_oracle(
+        self, nodes, side, origin, second, speed_max, seed, queries
+    ):
         # across grid epochs, the grid-filtered sampler picks the same
         # receivers as the all-pairs oracle and draws the same numbers;
         # fast nodes move metres within an epoch, so the grid's margin counts
-        spec = tiny_spec(nodes=nodes, side=side, seed=seed)
-        spec = dataclasses.replace(spec, mobility=MobilityParams(speed_max=speed_max))
+        x0, y0 = origin
+        clusters = [scenarios.Cluster(nodes, AreaRect(x0, y0, x0 + side, y0 + side))]
+        if second is not None:
+            count, gap, dy = second
+            x1, y1 = x0 + side + gap, y0 + dy
+            clusters.append(scenarios.Cluster(count, AreaRect(x1, y1, x1 + side, y1 + side)))
+        spec = dataclasses.replace(
+            tiny_spec(seed=seed),
+            clusters=tuple(clusters),
+            mobility=MobilityParams(speed_max=speed_max),
+        )
+        _assert_receivers_match_oracle(Simulation(spec), queries)
+
+    def test_radio_receivers_match_oracle_on_a_huge_field(self):
+        """Twenty nodes, five of them roaming a 10^6 m field: the grid
+        widens its cells to stay within MAX_SLOTS slots, so every node of
+        the 30 m cluster is a candidate of every other, and it still picks
+        the same receivers with the same draws as the oracle."""
+        spec = dataclasses.replace(
+            tiny_spec(seed=4),
+            clusters=(
+                scenarios.Cluster(15, AreaRect(0.0, 0.0, 30.0, 30.0)),
+                scenarios.Cluster(5, AreaRect(0.0, 0.0, 1e6, 1e6)),
+            ),
+        )
         sim = Simulation(spec)
-        t = 0
-        for sender, dt in queries:
-            t += dt
-            sender %= nodes
-            positions = {i: m.position_at(t) for i, m in enumerate(sim.motions)}
-            before = sim.rng_radio.getstate()
-            got = sim._radio_receivers(sender, t)
-            oracle_rng = random.Random()
-            oracle_rng.setstate(before)
-            expected = sample_receivers(sender, positions, sim.radio, oracle_rng)
-            assert got == sorted(expected)
-            assert oracle_rng.getstate() == sim.rng_radio.getstate()
+        assert len(sim.grid.slots) <= MAX_SLOTS
+        assert sim.grid.cell > 100.0  # widened from R + margin
+        rng = random.Random(4)
+        queries = [(rng.randrange(20), rng.randrange(250)) for _ in range(200)]
+        _assert_receivers_match_oracle(sim, queries)
+
+
+def _assert_receivers_match_oracle(sim, queries):
+    """At each (sender, time step) query, sim._radio_receivers equals
+    sample_receivers on every node's position and leaves the radio
+    stream in the same state."""
+    t = 0
+    for sender, dt in queries:
+        t += dt
+        sender %= sim.n
+        positions = {i: m.position_at(t) for i, m in enumerate(sim.motions)}
+        before = sim.rng_radio.getstate()
+        got = sim._radio_receivers(sender, t)
+        oracle_rng = random.Random()
+        oracle_rng.setstate(before)
+        expected = sample_receivers(sender, positions, sim.radio, oracle_rng)
+        assert got == sorted(expected)
+        assert oracle_rng.getstate() == sim.rng_radio.getstate()
 
 
 @st.composite

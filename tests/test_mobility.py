@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import tempfile
@@ -100,7 +99,9 @@ class TestNodeMotion:
         st.floats(0.01, 3.0), st.floats(0.01, 3.0),
         st.floats(0.0, 1.0), st.floats(0.0, 1.0),
         st.integers(0, 2**32),
-        st.lists(st.integers(0, 3000), min_size=1, max_size=40),
+        # each query is a step after the last one, or the end of the
+        # segment that the last one fell in (a leg's or a pause's last instant)
+        st.lists(st.tuples(st.integers(0, 3000), st.booleans()), min_size=1, max_size=40),
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_walk(self, x0, y0, w, h, fx, fy, seed, steps):
@@ -109,9 +110,13 @@ class TestNodeMotion:
         few metres make legs cross the walls again and again."""
         area = AreaRect(x0, y0, x0 + w, y0 + h)
         start = (x0 + fx * w, y0 + fy * h)
-        times = list(itertools.accumulate(steps))
         m = NodeMotion(start, area, MobilityParams(), random.Random(seed))
-        got = [m.position_at(t) for t in times]
+        times, got = [], []
+        t = 0
+        for step, at_end in steps:
+            t = m.seg_end if at_end else t + step
+            times.append(t)
+            got.append(m.position_at(t))
         assert got == walk(start, area, MobilityParams(), random.Random(seed), times)
 
     def test_stays_in_area(self):

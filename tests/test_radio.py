@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossim.radio import RadioParams, SpatialGrid, delivery_probability
+from gossim.mobility import AreaRect
+from gossim.radio import MAX_SLOTS, RadioParams, SpatialGrid, delivery_probability
 
 from oracles import sample_receivers
 
@@ -95,17 +96,87 @@ def test_sample_receivers_skips_draws_at_extremes():
     assert rng.getstate() == before
 
 
+@st.composite
+def _fields(draw):
+    """A cell size, one to three areas (negative origins, walls on cell
+    boundaries, gaps between them), nodes placed in them and query points
+    in them.  A coordinate is uniform, on a cell boundary, on a wall, or
+    one ulp past a wall, where the walk's fold can put a node."""
+    cell = draw(st.floats(1.0, 20.0))
+    origin = st.one_of(st.floats(-200.0, 200.0), st.integers(-40, 40).map(lambda k: k * cell))
+    side = st.one_of(st.floats(0.5, 60.0), st.integers(1, 6).map(lambda k: k * cell))
+    areas = []
+    for _ in range(draw(st.integers(1, 3))):
+        x0 = draw(origin)
+        y0 = draw(origin)
+        w = draw(side)
+        h = draw(side)
+        areas.append(AreaRect(x0, y0, x0 + w, y0 + h))
+
+    def coord(lo, hi):
+        how = draw(st.sampled_from(["uniform", "wall", "past", "boundary"]))
+        if how == "wall":
+            return draw(st.sampled_from([lo, hi]))
+        if how == "past":
+            return draw(st.sampled_from([math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]))
+        first, last = math.ceil(lo / cell), math.floor(hi / cell)
+        if how == "boundary" and first <= last:
+            k = draw(st.integers(first, last))
+            if lo <= k * cell <= hi:
+                return k * cell
+        return draw(st.floats(lo, hi))
+
+    def point():
+        a = draw(st.sampled_from(areas))
+        return coord(a.x_min, a.x_max), coord(a.y_min, a.y_max)
+
+    nodes = [point() for _ in range(draw(st.integers(1, 40)))]
+    queries = [point() for _ in range(draw(st.integers(1, 10)))]
+    return cell, areas, nodes, queries
+
+
 class TestSpatialGrid:
     def test_never_misses_within_radius(self):
         rng = random.Random(3)
-        pts = [(i, rng.uniform(-40, 40), rng.uniform(-40, 40)) for i in range(300)]
-        grid = SpatialGrid(DEFAULT.R)
+        pts = [(rng.uniform(-40, 40), rng.uniform(-40, 40)) for _ in range(300)]
+        grid = SpatialGrid(DEFAULT.R, [AreaRect(-40.0, -40.0, 40.0, 40.0)])
         grid.rebuild(pts)
-        for qi, qx, qy in pts[:50]:
+        for qx, qy in pts[:50]:
             cand = set(grid.candidates(qx, qy))
-            for node, x, y in pts:
+            for node, (x, y) in enumerate(pts):
                 if math.hypot(x - qx, y - qy) <= DEFAULT.R:
                     assert node in cand
+
+    @given(_fields())
+    @settings(max_examples=200, deadline=None)
+    def test_candidates_are_the_3x3_cells(self, field):
+        """Exactly the nodes whose cell is at most one cell away on each
+        axis, each once: the set that radio.candidates_examined counts."""
+        cell, areas, nodes, queries = field
+        grid = SpatialGrid(cell, areas)
+        assert grid.cell == cell  # small boxes keep the cell size
+        # a rebuild forgets the nodes of the one before
+        grid.rebuild(list(reversed(nodes)))
+        grid.rebuild(nodes)
+        for qx, qy in queries:
+            cx, cy = qx // cell, qy // cell
+            expected = [
+                node for node, (x, y) in enumerate(nodes)
+                if abs(x // cell - cx) <= 1 and abs(y // cell - cy) <= 1
+            ]
+            assert sorted(grid.candidates(qx, qy)) == expected
+
+    def test_slot_list_is_bounded(self):
+        """A field of 10^6 m per side widens the cells rather than ask for
+        3.7e10 slots; wider cells still never miss a node within R."""
+        field = AreaRect(0.0, 0.0, 1e6, 1e6)
+        grid = SpatialGrid(DEFAULT.R, [field])
+        assert len(grid.slots) <= MAX_SLOTS
+        assert grid.cell >= DEFAULT.R
+        pts = [(0.0, 0.0), (DEFAULT.R, 0.0), (1e6, 1e6), (1e6 - 3.0, 1e6 - 4.0)]
+        grid.rebuild(pts)
+        assert {0, 1} <= set(grid.candidates(0.0, 0.0))
+        assert {2, 3} <= set(grid.candidates(1e6, 1e6))
 
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=60))
     @settings(max_examples=60, deadline=None)
@@ -118,8 +189,8 @@ class TestSpatialGrid:
         }
         expected = sample_receivers(0, positions, DEFAULT, random.Random(99))
 
-        grid = SpatialGrid(DEFAULT.R)
-        grid.rebuild((i, x, y) for i, (x, y) in positions.items())
+        grid = SpatialGrid(DEFAULT.R, [AreaRect(-30.0, -30.0, 30.0, 30.0)])
+        grid.rebuild([positions[i] for i in range(n)])
         rng = random.Random(99)
         sx, sy = positions[0]
         got = set()
