@@ -37,9 +37,11 @@ def _load_scenario(ref: str, scale: str) -> scenarios.ScenarioSpec:
         spec = scenarios.builtin(ref[len("builtin:"):])
     else:
         path = Path(ref)
-        if not path.exists():
-            raise ConfigError(f"scenario file not found: {ref}")
-        spec = scenarios.parse(path.read_text(encoding="utf-8"), name=path.stem)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"{ref}: cannot read scenario file: {exc.strerror}") from None
+        spec = scenarios.parse(text, name=path.stem)
     if scale == "desk":
         spec = scenarios.desk_scale(spec)
     return spec
@@ -70,7 +72,7 @@ def _cmd_run(args) -> int:
         raise ConfigError("--tokens needs --protocol")
     spec = _load_scenario(args.scenario, args.scale)
     if args.protocol is not None:
-        spec = replace(spec, protocol=protocols.from_name(args.protocol, args.tokens))
+        spec = replace(spec, protocol=protocols.from_name(args.protocol, args.tokens, "--tokens"))
     spec = replace(spec, seed=_seed(args, spec))
     rec = engine.run(spec)
     _write_run_outputs(Path(args.out), spec, rec)
@@ -215,7 +217,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # runtime failure

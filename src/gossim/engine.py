@@ -8,11 +8,12 @@ never perturb another's.
 Every event goes through one calendar queue: a list of `duration + 1`
 buckets, one per integer ms, each None or the ms's events in push order,
 and each ms runs its bucket in that order.  The list costs 8 bytes per
-simulated ms (about 400 KB for a 50 s run).  A periodic beacon is queued
-as its bare node id; once its receivers have acted, it queues the node's
-next beacon one period later.  A node whose first beacon lands at
+simulated ms: about 400 KB for a 50 s run, and 28.8 MB for the longest,
+MAX_DURATION_MS (one simulated hour).  A periodic beacon is queued as its
+bare node id; once its receivers have acted, it queues the node's next
+beacon one period later.  A node whose first beacon lands at
 `first <= duration` sends `(duration - first) // period + 1` of them, so
-the run adds those counts to its tallies once, after the loop.
+the run adds that count to its tallies where it queues the first one.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ _TX_SOFTWARE = 2
 _INJECT = 3
 
 GRID_EPOCH_MS = 100
+
+# the longest run allowed: one simulated hour
+MAX_DURATION_MS = 3_600_000
 
 # the [engine] scenario-file keys, each with the EngineParams field it
 # sets and the converter that reads its value; a run's metadata records
@@ -80,6 +84,8 @@ class EngineParams:
             raise ValueError("beacon_period must be positive")
         if self.delivery_latency < 0:
             raise ValueError("delivery_latency must be >= 0")
+        if self.duration > MAX_DURATION_MS:
+            raise ValueError(f"duration must be at most {MAX_DURATION_MS} ms, got {self.duration}")
         if not 0 <= self.injection_time < self.duration:
             raise ValueError("injection_time must fall inside the run")
         if self.injected_version <= 0:
@@ -220,7 +226,8 @@ class Simulation:
         period = ep.beacon_period
         queue = self.queue
         self._push(ep.injection_time, _INJECT, 0, None)
-        fires = {}  # node -> periodic beacons it sends in the run
+        beacon_sends = self.beacon_sends
+        tx = 0  # beacon transmissions: the periodic ones here, pull ones in the loop
         for node, phase in enumerate(self.phases):
             at = phase + ep.delivery_latency
             if at <= duration:
@@ -229,11 +236,12 @@ class Simulation:
                     queue[at] = [node]
                 else:
                     bucket.append(node)
-                fires[node] = (duration - at) // period + 1
+                beacon_sends[node] = count = (duration - at) // period + 1
+                tx += count
+        self.seq += tx
 
         versions = self.versions
         tokens = self.tokens
-        beacon_sends = self.beacon_sends
         receivers_of = self._radio_receivers if self.trace is None else self.trace.partners
         beacon_step = on_beacon
         software_step = on_software
@@ -242,7 +250,7 @@ class Simulation:
         corruption = ep.corruption_probability
         apply = self._apply
         piggyback = cfg.piggyback
-        tx = rx = 0  # beacon transmissions, beacon receptions
+        rx = 0  # beacon receptions
         for now in range(duration + 1):
             todo = queue[now]
             if todo is None:
@@ -258,11 +266,10 @@ class Simulation:
             for item in todo:
                 if type(item) is int:
                     # a periodic beacon, fired at (now - latency) and counted
-                    # in `fires`; it carries the sender's version at the
-                    # delivery tick, where a pull beacon's payload is the
-                    # version it was sent with
+                    # above; it carries the sender's version at the delivery
+                    # tick, where a pull beacon's payload is the version it
+                    # was sent with
                     receivers = receivers_of(item, now)
-                    tx += 1
                     if receivers:  # most periodic beacons on sparse layouts: none
                         rx += len(receivers)
                         payload = versions[item] if piggyback else None
@@ -304,10 +311,6 @@ class Simulation:
                     tokens[target] = cfg.initial_tokens
                     apply(target, now, UpdateLocal(ep.injected_version))
             queue[now] = None
-
-        for node, count in fires.items():
-            beacon_sends[node] = beacon_sends.get(node, 0) + count
-        self.seq += sum(fires.values())
         return self._record(tx, rx)
 
     def _record(self, tx: int, rx: int) -> RunRecord:

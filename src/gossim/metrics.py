@@ -142,30 +142,12 @@ def write_load(path, histogram: dict[int, int]) -> None:
     write_csv(path, ["sends", "node_count"], sorted(histogram.items()))
 
 
-SUMMARY_FIELDS = [
-    "scenario",
-    "protocol",
-    "tokens",
-    "seed",
-    "n_nodes",
-    "total_software_sends",
-    "total_beacon_sends",
-    "final_count",
-    "t90_ms",
-    "savings_pct",
-    "measured_nnh",
-    "bound_fp",
-    "bound_fcp",
-    "bound_pbp",
-    "bound_gcp",
-]
-
-
 def summary_row(
     rec: RunRecord,
     scenario_name: str,
     baseline: Optional[RunRecord] = None,
 ) -> dict[str, object]:
+    """One summary.csv line: its keys, in order, are the file's columns."""
     series = convergence_series(rec, rec.injected_version)
     t90 = time_to_fraction(series, 0.9, rec.n_nodes)
     tokens = rec.tokens if rec.tokens is not None else ""
@@ -196,4 +178,5 @@ def summary_row(
 
 
 def write_summary(path, rows: list[dict[str, object]]) -> None:
-    write_csv(path, SUMMARY_FIELDS, ([row[f] for f in SUMMARY_FIELDS] for row in rows))
+    """Write summary_row rows, which all share their keys; the first names the columns."""
+    write_csv(path, list(rows[0]), (row.values() for row in rows))

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,15 +81,21 @@ class TestRun:
         assert "seed = 7\n" in (out / "metadata.txt").read_text()
 
 class TestConfigErrors:
-    def test_tokens_required(self, tiny_cfg, tmp_path):
+    def test_tokens_required(self, tiny_cfg, tmp_path, capsys):
         code = main(["run", "--scenario", tiny_cfg, "--protocol", "gcp",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --tokens required for gcp\n"
 
-    def test_missing_scenario_file(self, tmp_path):
-        code = main(["run", "--scenario", str(tmp_path / "nope.cfg"),
-                     "--protocol", "fp", "--out", str(tmp_path / "o")])
+    def test_missing_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.cfg"
+        code = main(["run", "--scenario", str(path), "--protocol", "fp",
+                     "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}: cannot read scenario file: No such file or directory\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -140,6 +149,37 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "error: --tokens needs --protocol\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, args, message",
+        [("[cluster]\nnodes = 20\narea = 0 0 10 10\n[radio]\nR = inf\n", [],
+          "radio: r, R and p_min must be finite"),
+         ("trace = missing.csv\n", ["--protocol", "fp"],
+          "missing.csv: cannot read contact trace: No such file or directory"),
+         ("builtin = c9\n", ["--scale", "desk", "--tokens", "3"],
+          "--tokens needs --protocol"),
+         ("trace =\n", ["--protocol", "fp"], "line 1: trace needs a file path"),
+         (None, ["--protocol", "fp"], ".: cannot read scenario file: Is a directory"),
+         (TINY.replace("4000", "3600001"), ["--protocol", "fp"],
+          "engine: duration must be at most 3600000 ms, got 3600001")],
+        ids=["non-finite-R", "missing-trace", "tokens-without-protocol", "empty-trace",
+             "scenario-directory", "duration-over-cap"],
+    )
+    def test_module_entry_point_reports_config_errors(self, tmp_path, scenario, args,
+                                                      message):
+        # the interpreter's exit code and stderr, as a shell sees them; a
+        # scenario of None runs the working directory itself
+        if scenario is not None:
+            (tmp_path / "s.cfg").write_text(scenario)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gossim.cli", "run",
+             "--scenario", "." if scenario is None else "s.cfg", *args, "--out", "o"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_subcommand(self):
         assert main(["launch"]) == EXIT_CONFIG

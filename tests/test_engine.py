@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from gossim import protocols, scenarios
 from gossim.core import digest_for
-from gossim.engine import EngineParams, Simulation, run, run_grid, verify_digest
+from gossim.engine import (
+    MAX_DURATION_MS, EngineParams, Simulation, run, run_grid, verify_digest,
+)
 from gossim.metrics import convergence_series
 from gossim.mobility import AreaRect, MobilityParams, TRACE_HEADER
 from gossim.radio import MAX_SLOTS, RadioParams
@@ -47,11 +49,15 @@ class TestEngineParams:
             ("delivery_latency", -1, "delivery_latency must be >= 0"),
             ("injected_version", 0, "injected version must be > 0"),
             ("injected_version", -3, "injected version must be > 0"),
+            ("duration", 3_600_001, "duration must be at most 3600000 ms, got 3600001"),
         ],
     )
     def test_rejected_value(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             EngineParams(**{field: value})
+
+    def test_duration_cap_is_one_simulated_hour(self):
+        assert EngineParams(duration=MAX_DURATION_MS).duration == 3_600_000
 
     @pytest.mark.parametrize(
         "field", ["beacon_period", "delivery_latency", "duration", "injection_time"]

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from gossim.metrics import (
-    SUMMARY_FIELDS,
     RunRecord,
     convergence_series,
     gossip_reliability,
@@ -77,13 +76,30 @@ def test_measured_nnh_without_transmissions_is_zero():
 
 
 def test_summary_row_holds_every_summary_field_in_order(tmp_path):
-    # write_summary writes the columns by name, so an extra or a missing
-    # key in summary_row must show here
+    # summary_row's keys are summary.csv's columns, so a renamed, moved,
+    # extra or missing key changes the file's header here
     row = summary_row(record(metadata={"beacon_period_ms": "100"}), "s")
-    assert list(row) == SUMMARY_FIELDS
-    write_summary(tmp_path / "summary.csv", [row])
+    write_summary(tmp_path / "summary.csv", [row, row])
     with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
-        assert list(csv.DictReader(fh)) == [{k: str(v) for k, v in row.items()}]
+        header, *lines = csv.reader(fh)
+    assert header == [
+        "scenario",
+        "protocol",
+        "tokens",
+        "seed",
+        "n_nodes",
+        "total_software_sends",
+        "total_beacon_sends",
+        "final_count",
+        "t90_ms",
+        "savings_pct",
+        "measured_nnh",
+        "bound_fp",
+        "bound_fcp",
+        "bound_pbp",
+        "bound_gcp",
+    ]
+    assert lines == [[str(v) for v in row.values()]] * 2
 
 
 def test_load_histogram_mass():
