@@ -46,12 +46,19 @@ class MobilityParams:
             raise ValueError("speed range invalid")
 
 
+def _span(lo: float, hi: float) -> float:
+    """hi - lo, one ulp shorter where lo + (hi - lo) would round past hi."""
+    span = hi - lo
+    return span if lo + span <= hi else math.nextafter(span, 0.0)
+
+
 class NodeMotion:
     """Alternating leg / pause walk, evaluated lazily and analytically.
 
     Positions are exact for any query time inside the current segment,
     so the engine only evaluates nodes when they transmit or may
-    receive.  Query times must be non-decreasing per node.
+    receive.  Query times must be non-decreasing per node.  Every
+    position lies in [x_min, x_max] x [y_min, y_max] of its area.
     """
 
     __slots__ = (
@@ -71,8 +78,8 @@ class NodeMotion:
         if not area.contains(*position):
             raise ValueError("initial position outside area")
         # the walls that position_at folds a leg back between
-        self.x_lo, self.x_span = area.x_min, area.x_max - area.x_min
-        self.y_lo, self.y_span = area.y_min, area.y_max - area.y_min
+        self.x_lo, self.x_span = area.x_min, _span(area.x_min, area.x_max)
+        self.y_lo, self.y_span = area.y_min, _span(area.y_min, area.y_max)
         # the fold's period, stored: doubling is exact
         self.x_span2 = 2.0 * self.x_span
         self.y_span2 = 2.0 * self.y_span
@@ -116,15 +123,15 @@ class NodeMotion:
                     return self.ox, self.oy
             else:
                 # a straight leg, reflected at each wall it crosses: fold the
-                # unconstrained coordinate u into [lo, lo + span] (billiard
-                # unfolding, the same as mirroring the overshoot tick by tick)
+                # unconstrained u into [lo, lo + span] (billiard unfolding);
+                # for u > span, span2 - u is exact (Sterbenz), so x >= lo
                 dt = (self.seg_end if past else t) - self.seg_start
                 lo = self.x_lo
                 u = (self.ox + self.vx * dt - lo) % self.x_span2
-                x = lo + u if u <= self.x_span else lo + self.x_span2 - u
+                x = lo + u if u <= self.x_span else lo + (self.x_span2 - u)
                 lo = self.y_lo
                 u = (self.oy + self.vy * dt - lo) % self.y_span2
-                y = lo + u if u <= self.y_span else lo + self.y_span2 - u
+                y = lo + u if u <= self.y_span else lo + (self.y_span2 - u)
                 if not past:
                     return x, y
                 self.ox = x

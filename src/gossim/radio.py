@@ -52,13 +52,11 @@ class SpatialGrid:
     grid is an accelerator only and can never produce false negatives.
 
     The cells live in one flat list, column by column, over the bounding
-    box of `areas` (nodes never leave their areas) padded by two cells on
-    every side.  The walk's fold can leave a node a few ulps past a wall,
-    in the next cell out; the nine probes around it still stay inside its
-    own column and the list.  Each slot is None or its cell's nodes.  A
-    box that would need more than MAX_SLOTS slots doubles the cell size
-    until it fits: wider cells only add far candidates, which the
-    caller's distance test drops.
+    box of `areas` (nodes never leave their areas) padded by the one ring
+    of cells that the 3x3 probe reads.  Each slot is None or its cell's
+    nodes.  A box that would need more than MAX_SLOTS slots doubles the
+    cell size until it fits: wider cells only add far candidates, which
+    the caller's distance test drops.
     """
 
     __slots__ = ("cell", "rows", "base", "neighbours", "slots", "filled")
@@ -70,10 +68,10 @@ class SpatialGrid:
         y_max = max(a.y_max for a in areas)
         cell = cell_size
         while True:
-            cx0 = int(x_min // cell) - 2
-            cy0 = int(y_min // cell) - 2
-            cols = int(x_max // cell) + 3 - cx0
-            rows = int(y_max // cell) + 3 - cy0
+            cx0 = int(x_min // cell) - 1
+            cy0 = int(y_min // cell) - 1
+            cols = int(x_max // cell) + 2 - cx0
+            rows = int(y_max // cell) + 2 - cy0
             if cols * rows <= MAX_SLOTS:
                 break
             cell *= 2.0

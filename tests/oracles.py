@@ -78,11 +78,16 @@ def fold(u: float, lo: float, hi: float) -> float:
     """Reflect an unconstrained coordinate back into [lo, hi].
 
     Equivalent to integrating the straight leg tick by tick and
-    mirroring the overshoot at each wall (billiard unfolding).
+    mirroring the overshoot at each wall (billiard unfolding).  The span
+    is one ulp shorter where lo + (hi - lo) rounds past hi, and the
+    reflected branch subtracts exactly, so the result never leaves
+    [lo, hi].
     """
     span = hi - lo
+    if lo + span > hi:
+        span = math.nextafter(span, 0.0)
     y = (u - lo) % (2.0 * span)
-    return lo + y if y <= span else lo + 2.0 * span - y
+    return lo + y if y <= span else lo + (2.0 * span - y)
 
 
 def walk(

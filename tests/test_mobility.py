@@ -5,7 +5,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gossim.mobility import (
@@ -93,7 +93,65 @@ class TestParams:
             MobilityParams(**{field: value})
 
 
+def _leg_end(area, start, velocity, dt):
+    """Where a leg from `start` at `velocity` (per ms) is after `dt` ms:
+    a NodeMotion with its leg state set directly."""
+    m = NodeMotion(start, area, MobilityParams(), random.Random(0))
+    m.vx, m.vy = velocity
+    m.seg_start, m.seg_end, m.paused = 0.0, dt + 1.0, False
+    return m.position_at(dt)
+
+
+@st.composite
+def _walls(draw):
+    """(lo, hi) with negative, zero-straddling or non-representable bounds."""
+    if draw(st.booleans()):
+        lo, hi = -draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    else:
+        lo, hi = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
+        assume(lo < hi)
+    return lo, hi
+
+
+@st.composite
+def _near_reflection(draw, lo, hi):
+    """An unconstrained coordinate a few ulps from lo + k (hi - lo)."""
+    u = lo + draw(st.integers(-3, 3)) * (hi - lo)
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        u = math.nextafter(u, math.copysign(math.inf, steps))
+    return u
+
+
 class TestNodeMotion:
+    @pytest.mark.parametrize(
+        "area, start, velocity, dt",
+        [
+            # x ends a few ulps below x_min; the fold returned -10.09781612246013
+            (AreaRect(-10.097816122460074, 0.0, 328.1086877522648, 1.0),
+             (0.0, 0.5), (-10.097816122460081, 0.0), 1.0),
+            # x reaches x_max of an area straddling 0, where x_min + (x_max -
+            # x_min) rounds past x_max; the fold returned 0.5442292252959646
+            (AreaRect(-237.96462709189137, 0.0, 0.5442292252959519, 1.0),
+             (-100.0, 0.5), ((0.5442292252959519 + 100.0) / 100.0, 0.0), 100.0),
+        ],
+        ids=["below-x-min", "past-x-max"],
+    )
+    def test_fold_at_a_wall_stays_in_area(self, area, start, velocity, dt):
+        assert area.contains(*_leg_end(area, start, velocity, dt))
+
+    @given(_walls(), _walls(), st.floats(0.0, 1.0), st.floats(1.0, 500.0), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fold_near_reflection_points_stays_in_area(self, xs, ys, f, dt, data):
+        """A leg whose unconstrained end lies within a few ulps of a
+        reflection point on each axis ends inside the area."""
+        area = AreaRect(xs[0], ys[0], xs[1], ys[1])
+        start = (min(xs[0] + f * (xs[1] - xs[0]), xs[1]), min(ys[0] + f * (ys[1] - ys[0]), ys[1]))
+        ux = data.draw(_near_reflection(*xs))
+        uy = data.draw(_near_reflection(*ys))
+        velocity = ((ux - start[0]) / dt, (uy - start[1]) / dt)
+        assert area.contains(*_leg_end(area, start, velocity, dt))
+
     @given(
         st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
         st.floats(0.01, 3.0), st.floats(0.01, 3.0),
