@@ -72,7 +72,10 @@ def _cmd_run(args) -> int:
         raise ConfigError("--tokens needs --protocol")
     spec = _load_scenario(args.scenario, args.scale)
     if args.protocol is not None:
-        spec = replace(spec, protocol=protocols.from_name(args.protocol, args.tokens, "--tokens"))
+        cfg = protocols.from_name(args.protocol, args.tokens, "--tokens")
+        if args.tokens is not None and not cfg.token_control:
+            raise ConfigError(f"--tokens is not used: {args.protocol} spends no tokens")
+        spec = replace(spec, protocol=cfg)
     spec = replace(spec, seed=_seed(args, spec))
     rec = engine.run(spec)
     _write_run_outputs(Path(args.out), spec, rec)
@@ -98,6 +101,8 @@ def _cmd_compare(args) -> int:
             else [None]
         )
     ]
+    if tokens_list and not any(cfg.token_control for _, cfg in cells):
+        raise ConfigError(f"--tokens-list is not used: {', '.join(names)} spend no tokens")
     labels = [label for label, _ in cells]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
@@ -165,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scale(p):
+    def add_scale(p, default="paper"):
         p.add_argument(
             "--scale",
             choices=("paper", "desk"),
-            default="paper",
+            default=default,
             help="desk shrinks node counts /10 and areas /sqrt(10)",
         )
 
@@ -203,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.set_defaults(func=_cmd_bounds)
 
     p_v = sub.add_parser("validate", help="run the acceptance suite")
-    p_v.add_argument("--scale", choices=("desk", "paper"), default="desk")
     p_v.add_argument("--out", default=None)
+    add_scale(p_v, default="desk")
     p_v.set_defaults(func=_cmd_validate)
     return parser
 

@@ -151,6 +151,25 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args, message",
+        [(["run", "--protocol", "fp", "--tokens", "5"],
+          "--tokens is not used: fp spends no tokens"),
+         (["run", "--protocol", "pbp", "--tokens", "0"],
+          "--tokens is not used: pbp spends no tokens"),
+         (["compare", "--protocols", "fp,pbp", "--tokens-list", "5"],
+          "--tokens-list is not used: fp, pbp spend no tokens")],
+        ids=["run-fp", "run-pbp", "compare-fp-pbp"],
+    )
+    def test_budget_no_protocol_spends_writes_nothing(self, tiny_cfg, tmp_path, capsys,
+                                                      args, message):
+        # fp and pbp would run and the budget be dropped
+        out = tmp_path / "o"
+        code = main([args[0], "--scenario", tiny_cfg, *args[1:], "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "scenario, args, message",
         [("[cluster]\nnodes = 20\narea = 0 0 10 10\n[radio]\nR = inf\n", [],
           "radio: r, R and p_min must be finite"),
