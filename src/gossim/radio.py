@@ -57,9 +57,14 @@ class SpatialGrid:
     nodes.  A box that would need more than MAX_SLOTS slots doubles the
     cell size until it fits: wider cells only add far candidates, which
     the caller's distance test drops.
+
+    The grid keeps its cells between rebuilds: a rebuild moves only the
+    nodes whose cell changed, and an emptied cell goes back to None.
+    `candidates` caches each queried slot's nonempty 3x3 union until a
+    node leaves or enters one of those nine cells.
     """
 
-    __slots__ = ("cell", "rows", "base", "neighbours", "slots", "filled")
+    __slots__ = ("cell", "rows", "base", "neighbours", "slots", "cell_of", "unions")
 
     def __init__(self, cell_size: float, areas):
         x_min = min(a.x_min for a in areas)
@@ -82,34 +87,56 @@ class SpatialGrid:
         # a cell's 3x3 neighbourhood, as offsets from its slot
         self.neighbours = tuple(i * rows + j for i in (-1, 0, 1) for j in (-1, 0, 1))
         self.slots: list = [None] * (cols * rows)
-        self.filled: list[int] = []  # the slots that hold nodes
+        self.cell_of: list = []  # each node's slot at the last rebuild
+        self.unions: dict[int, list[int]] = {}  # queried slot -> its 3x3 nodes
 
     def rebuild(self, positions):
-        """positions: (x, y) of every node, indexed by node id."""
+        """positions: (x, y) of every node, indexed by node id.  Another
+        node count than the last rebuild's starts the grid over."""
         slots = self.slots
-        for k in self.filled:
-            slots[k] = None
-        filled = []
+        unions = self.unions
+        cell_of = self.cell_of
+        if len(cell_of) != len(positions):
+            for k in cell_of:
+                slots[k] = None
+            unions.clear()
+            cell_of = self.cell_of = [None] * len(positions)
         cell = self.cell
         rows = self.rows
         base = self.base
+        neighbours = self.neighbours
         for node, (x, y) in enumerate(positions):
             k = int(x // cell) * rows + int(y // cell) - base
+            old = cell_of[node]
+            if k == old:
+                continue
+            if old is not None:
+                bucket = slots[old]
+                bucket.remove(node)
+                if not bucket:
+                    slots[old] = None
+                for offset in neighbours:
+                    unions.pop(old + offset, None)
             bucket = slots[k]
             if bucket is None:
                 slots[k] = [node]
-                filled.append(k)
             else:
                 bucket.append(node)
-        self.filled = filled
+            for offset in neighbours:
+                unions.pop(k + offset, None)
+            cell_of[node] = k
 
     def candidates(self, x: float, y: float) -> list[int]:
         """Nodes in the 3x3 cells around (x, y), as a fresh list."""
         k = int(x // self.cell) * self.rows + int(y // self.cell) - self.base
-        slots = self.slots
-        out: list[int] = []
-        for offset in self.neighbours:
-            bucket = slots[k + offset]
-            if bucket:
-                out += bucket
-        return out
+        out = self.unions.get(k)
+        if out is None:
+            slots = self.slots
+            out = []
+            for offset in self.neighbours:
+                bucket = slots[k + offset]
+                if bucket:
+                    out += bucket
+            if out:
+                self.unions[k] = out
+        return out[:]

@@ -413,6 +413,24 @@ class TestGeometricProperties:
         queries = [(rng.randrange(20), rng.randrange(250)) for _ in range(200)]
         _assert_receivers_match_oracle(sim, queries)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_radio_receivers_match_oracle_after_every_epoch(self, seed):
+        """Forty nodes on a field 15 cells wide, every node sending once in
+        every grid epoch for 10 s: a cached candidate list must not outlive
+        a node entering the sender's 3x3 cells.  At 2 m/s a node stays
+        about 26 epochs in the cell it enters, so a stale list would be
+        read again and again; at 30 m/s the node's next crossing drops it
+        within a few epochs and a stale list is seldom read."""
+        spec = dataclasses.replace(
+            tiny_spec(nodes=40, side=80.0, seed=seed),
+            mobility=MobilityParams(speed_min=2.0, speed_max=2.0),
+        )
+        sim = Simulation(spec)
+        assert sim.grid.cell == 5.2  # R + 2 m/s * 0.1 s
+        # each query time, 101 ms after the last, starts a new epoch
+        queries = [(node, 101 if node == 0 else 0) for _ in range(100) for node in range(40)]
+        _assert_receivers_match_oracle(sim, queries)
+
 
 def _assert_receivers_match_oracle(sim, queries):
     """At each (sender, time step) query, sim._radio_receivers equals

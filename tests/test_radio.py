@@ -134,6 +134,42 @@ def _fields(draw):
     return cell, areas, nodes, queries
 
 
+@st.composite
+def _moved(draw, cell, areas, point):
+    """Where a node at `point` is at the next rebuild: the same cell, one
+    to six cells over along each axis within its area, on a wall of any
+    area, or anywhere in any area."""
+    x, y = point
+    home = next(a for a in areas if a.x_min <= x <= a.x_max and a.y_min <= y <= a.y_max)
+    how = draw(st.sampled_from(["stay", "shift", "wall", "anywhere"]))
+    if how == "stay":
+        cx, cy = x // cell * cell, y // cell * cell
+        return (
+            draw(st.floats(max(cx, home.x_min), min(cx + cell, home.x_max))),
+            draw(st.floats(max(cy, home.y_min), min(cy + cell, home.y_max))),
+        )
+    if how == "shift":
+        k = draw(st.integers(1, 6))
+        dx, dy = draw(st.integers(-k, k)), draw(st.integers(-k, k))
+        return (
+            min(max(x + dx * cell, home.x_min), home.x_max),
+            min(max(y + dy * cell, home.y_min), home.y_max),
+        )
+    a = draw(st.sampled_from(areas))
+    if how == "wall":
+        return draw(st.sampled_from([a.x_min, a.x_max])), draw(st.sampled_from([a.y_min, a.y_max]))
+    return draw(st.floats(a.x_min, a.x_max)), draw(st.floats(a.y_min, a.y_max))
+
+
+def _in_3x3(cell, nodes, qx, qy):
+    """Brute force: the nodes at most one cell from (qx, qy) on each axis."""
+    cx, cy = qx // cell, qy // cell
+    return [
+        node for node, (x, y) in enumerate(nodes)
+        if abs(x // cell - cx) <= 1 and abs(y // cell - cy) <= 1
+    ]
+
+
 class TestSpatialGrid:
     def test_never_misses_within_radius(self):
         rng = random.Random(3)
@@ -162,12 +198,27 @@ class TestSpatialGrid:
         grid.rebuild(list(reversed(nodes)))
         grid.rebuild(nodes)
         for qx, qy in queries:
-            cx, cy = qx // cell, qy // cell
-            expected = [
-                node for node, (x, y) in enumerate(nodes)
-                if abs(x // cell - cx) <= 1 and abs(y // cell - cy) <= 1
-            ]
-            assert sorted(grid.candidates(qx, qy)) == expected
+            assert sorted(grid.candidates(qx, qy)) == _in_3x3(cell, nodes, qx, qy)
+
+    @given(_fields(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_candidates_follow_moving_nodes(self, field, data):
+        """One grid over 2 to 6 rebuilds of the same nodes, each node
+        staying in its cell, crossing one or more cells or landing on a
+        wall between them.  After every rebuild the same points are asked
+        twice, so cached unions are reused, and each answer is exactly the
+        3x3 nodes.  A rebuild with another node count starts the grid over:
+        it forgets every node of the rebuild before."""
+        cell, areas, nodes, queries = field
+        grid = SpatialGrid(cell, areas)
+        layouts = [nodes]
+        for _ in range(data.draw(st.integers(1, 5))):
+            layouts.append([data.draw(_moved(cell, areas, p)) for p in layouts[-1]])
+        layouts += [nodes + nodes[:3], nodes[1:]]  # more nodes, then fewer
+        for layout in layouts:
+            grid.rebuild(layout)
+            for qx, qy in queries + queries:
+                assert sorted(grid.candidates(qx, qy)) == _in_3x3(cell, layout, qx, qy)
 
     def test_slot_list_is_bounded(self):
         """A field of 10^6 m per side widens the cells rather than ask for
