@@ -262,7 +262,7 @@ def _eventually_connected(spec, injected: int) -> bool:
     """Oracle: can flooding reach everyone from the injected node?
 
     Takes the node trajectories of the engine's own set-up for `spec`,
-    samples the certain-delivery graph (d <= r) every 250 ms, and
+    samples the certain-delivery graph (d < r) every 250 ms, and
     propagates reachability through its components by brute force,
     without the engine's grid or radio draws.  Conservative: brief
     contacts between samples are ignored.

@@ -174,27 +174,30 @@ class Simulation:
 
     # -- radio --------------------------------------------------------
 
-    def _radio_receivers(self, sender: int, t: int) -> list[int]:
-        """Sampled receivers of a geometric transmission at time t."""
+    def _radio_receivers(self, sender: int, now: int) -> list[int]:
+        """Sampled receivers of a geometric transmission at ms `now`."""
         motions = self.motions
+        # the walk's segment bounds are floats; a float query time keeps each
+        # position_at comparison and subtraction float against float, the
+        # interpreter's fast path, and an int ms below 2**53 converts exactly
+        t = float(now)
         if t > self.grid_valid_until:
             self.grid.rebuild([m.position_at(t) for m in motions])
             self.grid_valid_until = t + GRID_EPOCH_MS
-        sx, sy = motions[sender].position_at(t)
-        candidates = self.grid.candidates(sx, sy)
+        sender_pos = motions[sender].position_at(t)
+        # sorted, and the grid's own list: read it, never modify it
+        candidates = self.grid.candidates(*sender_pos)
         if len(candidates) == 1 and candidates[0] == sender:
             return []  # most beacons on sparse layouts: nobody to hear
-        candidates.sort()
         out = []
         draw = self.rng_radio.random
         radio = self.radio
         prob_at = delivery_probability
-        hypot = math.hypot
+        dist = math.dist
         for node in candidates:
             if node == sender:
                 continue
-            x, y = motions[node].position_at(t)
-            prob = prob_at(hypot(x - sx, y - sy), radio)
+            prob = prob_at(dist(motions[node].position_at(t), sender_pos), radio)
             if prob >= 1.0 or (prob > 0.0 and draw() < prob):
                 out.append(node)
         return out

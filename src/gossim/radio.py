@@ -29,7 +29,7 @@ def delivery_probability(d: float, p: RadioParams) -> float:
     smooth drop from 1 to p_min in between.  Both boundaries use the
     middle branch, which is continuous with the outer ones.
     """
-    if d < 0:
+    if d < 0.0:
         raise AssertionError("distance cannot be negative")
     if d < p.r:
         return 1.0
@@ -60,8 +60,9 @@ class SpatialGrid:
 
     The grid keeps its cells between rebuilds: a rebuild moves only the
     nodes whose cell changed, and an emptied cell goes back to None.
-    `candidates` caches each queried slot's nonempty 3x3 union until a
-    node leaves or enters one of those nine cells.
+    `candidates` caches each queried slot's nonempty 3x3 union, sorted,
+    until a node leaves or enters one of those nine cells, and hands out
+    that cached list itself: callers read it and must not modify it.
     """
 
     __slots__ = ("cell", "rows", "base", "neighbours", "slots", "cell_of", "unions")
@@ -127,7 +128,8 @@ class SpatialGrid:
             cell_of[node] = k
 
     def candidates(self, x: float, y: float) -> list[int]:
-        """Nodes in the 3x3 cells around (x, y), as a fresh list."""
+        """Nodes in the 3x3 cells around (x, y), sorted; the grid's own
+        list, which callers must not modify."""
         k = int(x // self.cell) * self.rows + int(y // self.cell) - self.base
         out = self.unions.get(k)
         if out is None:
@@ -138,5 +140,6 @@ class SpatialGrid:
                 if bucket:
                     out += bucket
             if out:
+                out.sort()
                 self.unions[k] = out
-        return out[:]
+        return out

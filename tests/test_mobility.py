@@ -177,6 +177,38 @@ class TestNodeMotion:
             got.append(m.position_at(t))
         assert got == walk(start, area, MobilityParams(), random.Random(seed), times)
 
+    @given(
+        st.integers(0, 2**32),
+        # whole-ms legs and no pauses put every seg_end on an int instant
+        st.one_of(st.none(), st.integers(50, 500)),
+        # each query: a short step, a long gap, a repeat of the last instant,
+        # or the first int instant at or after the current segment's end
+        st.lists(
+            st.one_of(
+                st.integers(1, 50), st.integers(1_000, 100_000), st.just(0), st.just("end")
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float_query_times_match_int_ones(self, seed, leg_ms, steps):
+        """Two walks from the same seed, one asked at int ms and one at
+        the same instants as floats, give equal positions; a float one
+        ulp before the last int instant is still a backwards query."""
+        params = (
+            MobilityParams() if leg_ms is None
+            else MobilityParams(pause_max=0.0, leg_duration_min=leg_ms, leg_duration_max=leg_ms)
+        )
+        at_int = NodeMotion((5.0, 5.0), AREA, params, random.Random(seed))
+        at_float = NodeMotion((5.0, 5.0), AREA, params, random.Random(seed))
+        t = 0
+        for step in steps:
+            t = math.ceil(at_int.seg_end) if step == "end" else t + step
+            assert at_int.position_at(t) == at_float.position_at(float(t))
+        with pytest.raises(AssertionError, match="queried backwards"):
+            at_int.position_at(math.nextafter(float(t), -math.inf))
+
     def test_stays_in_area(self):
         """A 1 m square crossed again and again over 60 s: every position
         is inside, and the node comes near both walls on each axis."""
