@@ -245,6 +245,7 @@ class Simulation:
 
         versions = self.versions
         tokens = self.tokens
+        # the grid and the trace hand out lists they own: the run only reads them
         receivers_of = self._radio_receivers if self.trace is None else self.trace.partners
         beacon_step = on_beacon
         software_step = on_software

@@ -141,6 +141,7 @@ class NodeMotion:
 
 # a contact: nodes a and b are in contact over [t_start, t_end) ms
 ContactRow = tuple[int, int, int, int]
+_FRESH = (math.inf, -math.inf, 0, [], [])  # a cursor over no time: scan from the start
 
 
 def contact_row(row: ContactRow) -> ContactRow:
@@ -166,7 +167,7 @@ class ContactTrace:
     `nxt` the index of the first contact that had not started by `t`,
     `live` the contacts in progress at `t`, `found` their sorted partners
     and `hi` the first later time at which one of them ends or the next
-    one starts.  The partner set is constant over `[t, hi)`.
+    one starts.  Over `[t, hi)`, `partners` hands out `found` itself.
     """
 
     def __init__(self, rows):
@@ -186,17 +187,17 @@ class ContactTrace:
     def partners(self, node: int, t: float) -> list[int]:
         """Nodes in contact with `node` at time t (half-open intervals).
 
-        Returns a new sorted list.  A query inside the node's cursor piece
-        copies its answer; a later one moves the cursor forward, adding
-        the contacts that have started and dropping those that have ended;
-        an earlier one starts it again from the first contact, so queries
-        may come in any order of t.
+        Returns the cursor's own sorted list: callers must not modify it.
+        A query inside the cursor's piece gets that same list; a later one
+        moves the cursor forward, adding the contacts that have started and
+        dropping those that have ended; an earlier one starts it again from
+        the first contact, so queries may come in any order of t.
         """
-        cursor = self._memo.get(node)
-        if cursor is not None and cursor[0] <= t < cursor[1]:
-            return cursor[4][:]
+        cursor = self._memo.get(node, _FRESH)
+        if cursor[0] <= t < cursor[1]:
+            return cursor[4]
         contacts = self._by_node.get(node, ())
-        if cursor is None or t < cursor[0]:
+        if t < cursor[0]:
             nxt = 0
             live = []
         else:
@@ -213,7 +214,7 @@ class ContactTrace:
                 hi = c[1]
         found = sorted({c[2] for c in live})
         self._memo[node] = (t, hi, nxt, live, found)
-        return found[:]
+        return found
 
 
 TRACE_HEADER = ["t_start_ms", "t_end_ms", "node_a", "node_b"]

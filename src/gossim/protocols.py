@@ -100,12 +100,13 @@ def on_beacon(
     token control every push spends a token, and none is sent without one.
     """
     if cfg.piggyback:
+        # equal versions are the common case; None never equals an int
+        if remote_version == version:
+            return tokens, None
         if remote_version is None:
             raise AssertionError("piggyback protocol got a bare beacon")
         if remote_version > version:
             return tokens, SendBeacon()
-        if remote_version == version:
-            return tokens, None
     elif remote_version is not None:
         raise AssertionError("non-piggyback protocol got a versioned beacon")
     if cfg.token_control:

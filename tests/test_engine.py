@@ -15,8 +15,8 @@ from gossim.engine import (
     MAX_DURATION_MS, EngineParams, Simulation, run, run_grid, verify_digest,
 )
 from gossim.metrics import convergence_series
-from gossim.mobility import AreaRect, MobilityParams, TRACE_HEADER
-from gossim.radio import MAX_SLOTS, RadioParams
+from gossim.mobility import AreaRect, ContactTrace, MobilityParams, TRACE_HEADER
+from gossim.radio import MAX_SLOTS, RadioParams, SpatialGrid
 
 from oracles import LoggedSimulation, ReferenceSimulation, contacts_of, sample_receivers
 
@@ -486,6 +486,45 @@ class TestGeometricAgainstContacts:
         assert dataclasses.replace(geometric, **same_mode) == dataclasses.replace(
             replayed, **same_mode
         )
+
+
+def _spy_on_lists(monkeypatch, cls, name):
+    """Record every list `cls.name` hands out, with a copy taken as it is
+    handed out; returns the (list, copy) pairs."""
+    real = getattr(cls, name)
+    calls = []
+
+    def spy(self, *args):
+        got = real(self, *args)
+        calls.append((got, got[:]))
+        return got
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def test_runs_never_modify_a_list_they_are_handed(monkeypatch):
+    # the trace's partners and the grid's candidates are the source's own
+    # lists, handed out again on later calls: a run may only read them
+    partners = _spy_on_lists(monkeypatch, ContactTrace, "partners")
+    candidates = _spy_on_lists(monkeypatch, SpatialGrid, "candidates")
+    rng = random.Random(9)
+    contacts = []
+    for _ in range(60):
+        t0 = rng.randrange(5000)
+        a, b = rng.sample(range(12), 2)
+        contacts.append((t0, t0 + rng.randrange(200, 2000), a, b))
+    engine = EngineParams(duration=6000, injection_time=500)
+    with _replayed((contacts, protocols.gcp(2), engine, 4)) as spec:
+        run(spec)
+    # forty nodes on a field about three grid cells wide
+    run(tiny_spec(nodes=40, side=12.0, seed=1, duration=3000))
+    for calls in (partners, candidates):
+        # lists are handed out again, so a change to one would be read later
+        assert len({id(got) for got, _ in calls}) < len(calls)
+        assert any(got for got, _ in calls)
+        for got, copy in calls:
+            assert got == copy
 
 
 class TestRunGrid:

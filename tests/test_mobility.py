@@ -327,13 +327,19 @@ class TestContactTrace:
         edges = sorted({t for t0, t1, _, _ in tr.intervals for t in (t0, t1)})
         rising = [(node, t) for t in edges for node in range(5)]
         mixed = data.draw(st.permutations(queries + rising))
+        handed_out = []
         for node, t in mixed + rising + rising[::-1]:
             expected = sorted(
                 b if a == node else a for a, b in contacts_at(tr, t) if node in (a, b)
             )
             got = tr.partners(node, t)
             assert got == expected, (node, t)
-            got.append(-1)  # the caller owns the list; the cursor must not change
+            # the cursor's own list: the same query within its piece gets it again
+            assert tr.partners(node, t) is got, (node, t)
+            handed_out.append((got, expected))
+        # moving a cursor builds a new list and leaves the old ones as they were
+        for got, expected in handed_out:
+            assert got == expected
 
     def test_node_count(self):
         assert self._trace().node_count == 3

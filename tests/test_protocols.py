@@ -86,8 +86,12 @@ class TestOnBeacon:
         assert on_beacon(gcp(2), 1, 0, 4) == (0, SendBeacon())
 
     def test_version_visibility_enforced(self):
-        with pytest.raises(AssertionError):
-            on_beacon(pbp(), 0, 1, None)
+        # the equal-version test comes first, and None equals no version
+        for cfg in (pbp(), gcp(1), gcp(5)):
+            for version in range(4):
+                for tokens in (0, 1):
+                    with pytest.raises(AssertionError, match="bare beacon"):
+                        on_beacon(cfg, version, tokens, None)
         with pytest.raises(AssertionError):
             on_beacon(fp(), 0, 1, 1)
 
