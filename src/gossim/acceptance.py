@@ -1,8 +1,8 @@
 """Acceptance suite: one callable check per release criterion.
 
-Each criterion returns a CriterionResult; the CLI `validate` subcommand
-and the test suite both run these.  Matched-seed desk runs are cached in
-process so the statistical criteria share one batch.
+Each criterion returns its CriterionResult through `_verdict`; the CLI
+`validate` subcommand and the test suite both run these.  Matched-seed desk
+runs are cached in process so the statistical criteria share one batch.
 """
 
 from __future__ import annotations
@@ -92,21 +92,20 @@ def criterion_1_token_cap() -> CriterionResult:
 
 def criterion_2_radio() -> CriterionResult:
     p = RadioParams(r=3.0, R=5.0, p_min=0.3)
-    checks = [
-        abs(delivery_probability(2.0, p) - 1.0) < 1e-12,
-        delivery_probability(6.0, p) == 0.0,
-        abs(delivery_probability(5.0, p) - 0.3) < 1e-12,
-        abs(delivery_probability(3.0, p) - 1.0) < 1e-12,
-        # frozen oracle: 0.3 - sqrt(0.5)*(0.5-5)*0.7/4, evaluated independently
-        abs(delivery_probability(4.0, p) - 0.8568465901844062) < 1e-6,
-    ]
+    # (distance, want, tolerance or None for exact); the 4 m value is a frozen
+    # oracle, 0.3 - sqrt(0.5)*(0.5-5)*0.7/4, evaluated independently
+    checks = ((2.0, 1.0, 1e-12), (6.0, 0.0, None), (5.0, 0.3, 1e-12), (3.0, 1.0, 1e-12),
+              (4.0, 0.8568465901844062, 1e-6))
+    problems = []
+    for d, want, tol in checks:
+        got = delivery_probability(d, p)
+        if not (got == want if tol is None else abs(got - want) < tol):
+            problems.append(f"p({d}) = {got}, want {want}")
     grid = [delivery_probability(i * (p.R + 1.0) / 999.0, p) for i in range(1000)]
-    monotone = all(a >= b - 1e-12 for a, b in zip(grid, grid[1:]))
-    ok = all(checks) and monotone
-    return CriterionResult(
-        2, "radio model analytics", ok,
-        f"branch values ok={all(checks)}, monotone on 1000-pt grid={monotone}",
-    )
+    if not all(a >= b - 1e-12 for a, b in zip(grid, grid[1:])):
+        problems.append(f"p rises somewhere on a 1000-pt grid over [0, {p.R + 1.0}] m")
+    facts = "p(d) checked at d = 2, 3, 4, 5, 6 m and for monotony on a 1000-pt grid"
+    return _verdict(2, "radio model analytics", facts, problems)
 
 
 def criterion_3_flag_square() -> CriterionResult:
@@ -117,21 +116,17 @@ def criterion_3_flag_square() -> CriterionResult:
     the unused budget.
     """
     square = ((GCP5, True, True), (PBP, True, False), (FCP5, False, True), (FP, False, False))
-    wired = all(cfg.piggyback == pb and cfg.token_control == tc for cfg, pb, tc in square)
+    problems = []
+    if not all(cfg.piggyback == pb and cfg.token_control == tc for cfg, pb, tc in square):
+        problems.append("constructor flags do not form the square")
     pairs = [
         (replace(GCP5, token_control=False), PBP, "gcp minus tokens == pbp"),
         (replace(GCP5, piggyback=False), FCP5, "gcp minus piggyback == fcp"),
         (replace(GCP5, piggyback=False, token_control=False), FP, "gcp minus both == fp"),
     ]
-    failures = [label for derived, named, label in pairs if derived != named]
-    ok = wired and not failures
-    detail = (
-        "constructor flags form the square; every corner derived from gcp(5) "
-        "equals its named config"
-        if ok
-        else f"wired={wired}, mismatches={failures}"
-    )
-    return CriterionResult(3, "flag square", ok, detail)
+    problems += [label for derived, named, label in pairs if derived != named]
+    facts = "flags of the four configs, and the corners derived from gcp(5), checked"
+    return _verdict(3, "flag square", facts, problems)
 
 
 def criterion_4_speed_ordering() -> CriterionResult:
@@ -230,32 +225,31 @@ def criterion_8_determinism() -> CriterionResult:
             "run", "--scenario", str(cfg_path), "--protocol", "gcp",
             "--tokens", "5", "--scale", "desk",
         ]
-        code_a = cli.main(args + ["--out", str(tmp / "a")])
-        code_b = cli.main(args + ["--out", str(tmp / "b")])
-        if code_a != 0 or code_b != 0:
-            return CriterionResult(8, "determinism", False, "run failed")
-        names = sorted(p.name for p in (tmp / "a").iterdir())
-        same, diff, funny = filecmp.cmpfiles(tmp / "a", tmp / "b", names, shallow=False)
-        ok = not diff and not funny and set(same) == set(names)
-    return CriterionResult(
-        8, "determinism", ok, f"byte-identical files: {sorted(same)}"
-    )
+        codes = {run: cli.main(args + ["--out", str(tmp / run)]) for run in "ab"}
+        problems = [f"run {run} exited {code}" for run, code in codes.items() if code != 0]
+        same = []
+        if not problems:
+            names = sorted(p.name for p in (tmp / "a").iterdir())
+            # a file missing from b lands in `funny`
+            same, diff, funny = filecmp.cmpfiles(tmp / "a", tmp / "b", names, shallow=False)
+            if diff or funny:
+                problems.append(f"files differ: {sorted(diff + funny)}")
+    return _verdict(8, "determinism", f"byte-identical files: {sorted(same)}", problems)
 
 
 def criterion_9_reliability() -> CriterionResult:
     v0 = metrics.gossip_reliability(0.0)
     v3 = metrics.gossip_reliability(3.0)
+    problems = []
+    if not abs(v0 - math.exp(-1.0)) < 1e-9:
+        problems.append(f"f(0) = {v0}, want exp(-1)")
+    if not abs(v3 - 0.951431) < 1e-5:
+        problems.append(f"f(3) = {v3}, want 0.951431")
     grid = [metrics.gossip_reliability(-5.0 + i * 0.01) for i in range(2001)]
-    monotone = all(a < b for a, b in zip(grid, grid[1:]))
-    ok = (
-        abs(v0 - math.exp(-1.0)) < 1e-9
-        and abs(v3 - 0.951431) < 1e-5
-        and monotone
-    )
-    return CriterionResult(
-        9, "reliability formula", ok,
-        f"f(0)={v0:.9f}, f(3)={v3:.6f}, strictly increasing={monotone}",
-    )
+    if not all(a < b for a, b in zip(grid, grid[1:])):
+        problems.append("f does not rise strictly on [-5, 15]")
+    facts = f"f(0)={v0:.9f}, f(3)={v3:.6f}, strictly increasing checked on [-5, 15]"
+    return _verdict(9, "reliability formula", facts, problems)
 
 
 def _eventually_connected(spec, injected: int) -> bool:

@@ -1,4 +1,4 @@
-"""Command-line front door: run, compare, sweep, bounds, validate."""
+"""Command-line front door: run, compare (alias sweep), bounds, validate."""
 
 from __future__ import annotations
 
@@ -187,16 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_scale(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    for cmd in ("compare", "sweep"):
-        p_cmp = sub.add_parser(cmd, help="matched-seed runs over a protocol grid")
-        p_cmp.add_argument("--scenario", required=True)
-        p_cmp.add_argument("--protocols", required=True, help="comma list, e.g. fp,gcp")
-        p_cmp.add_argument("--tokens-list", dest="tokens_list", default="")
-        p_cmp.add_argument("--seeds", type=int, default=1)
-        p_cmp.add_argument("--seed", type=int, default=None, help="base seed")
-        p_cmp.add_argument("--out", required=True)
-        add_scale(p_cmp)
-        p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp = sub.add_parser(
+        "compare", aliases=["sweep"], help="matched-seed runs over a protocol grid"
+    )
+    p_cmp.add_argument("--scenario", required=True)
+    p_cmp.add_argument("--protocols", required=True, help="comma list, e.g. fp,gcp")
+    p_cmp.add_argument("--tokens-list", dest="tokens_list", default="")
+    p_cmp.add_argument("--seeds", type=int, default=1)
+    p_cmp.add_argument("--seed", type=int, default=None, help="base seed")
+    p_cmp.add_argument("--out", required=True)
+    add_scale(p_cmp)
+    p_cmp.set_defaults(func=_cmd_compare)
 
     p_b = sub.add_parser("bounds", help="print the closed-form load bounds")
     p_b.add_argument("--nv", type=int, required=True)

@@ -6,6 +6,9 @@ or check the failure output).  The `gossim validate` subcommand runs
 the same suite.
 """
 
+import math
+from pathlib import Path
+
 import pytest
 
 from gossim import acceptance, engine, metrics, protocols
@@ -60,6 +63,28 @@ def test_criterion_02_radio_model():
     _check(acceptance.criterion_2_radio())
 
 
+def test_criterion_02_catches_wrong_sign_in_middle_branch(monkeypatch):
+    # the middle branch adds the drop to p_min instead of subtracting it,
+    # so p falls below zero at 3 m and climbs back to p_min at 5 m
+    def wrong_sign(d, p):
+        if d < p.r:
+            return 1.0
+        if d > p.R:
+            return 0.0
+        x = (p.R - d) / (p.R - p.r)
+        return p.p_min + math.sqrt(x) * (x - 5.0) * (1.0 - p.p_min) / 4.0
+
+    monkeypatch.setattr(acceptance, "delivery_probability", wrong_sign)
+    result = acceptance.criterion_2_radio()
+    assert not result.passed
+    assert result.detail == (
+        "p(d) checked at d = 2, 3, 4, 5, 6 m and for monotony on a 1000-pt grid :: "
+        "p(3.0) = -0.39999999999999997, want 1.0; "
+        "p(4.0) = -0.2568465901844062, want 0.8568465901844062; "
+        "p rises somewhere on a 1000-pt grid over [0, 6.0] m"
+    )
+
+
 def test_criterion_03_flag_square():
     _check(acceptance.criterion_3_flag_square())
 
@@ -76,7 +101,8 @@ def test_criterion_03_catches_unnormalized_budget(monkeypatch):
     result = acceptance.criterion_3_flag_square()
     assert not result.passed
     assert result.detail == (
-        "wired=True, mismatches=['gcp minus tokens == pbp', 'gcp minus both == fp']"
+        "flags of the four configs, and the corners derived from gcp(5), checked :: "
+        "gcp minus tokens == pbp; gcp minus both == fp"
     )
 
 
@@ -135,8 +161,44 @@ def test_criterion_08_determinism():
     _check(acceptance.criterion_8_determinism())
 
 
+def test_criterion_08_catches_failed_runs(monkeypatch):
+    # a stub stands in for the CLI, so no simulation runs
+    monkeypatch.setattr(acceptance.cli, "main", lambda argv: 1)
+    result = acceptance.criterion_8_determinism()
+    assert not result.passed
+    assert result.detail == "byte-identical files: [] :: run a exited 1; run b exited 1"
+
+
+def test_criterion_08_catches_differing_files(monkeypatch):
+    # each run writes one file that names its own output directory
+    def stub(argv):
+        out = Path(argv[argv.index("--out") + 1])
+        out.mkdir()
+        (out / "metadata.txt").write_text("seed = 42\n", encoding="utf-8")
+        (out / "summary.csv").write_text(f"out = {out.name}\n", encoding="utf-8")
+        return 0
+
+    monkeypatch.setattr(acceptance.cli, "main", stub)
+    result = acceptance.criterion_8_determinism()
+    assert not result.passed
+    assert result.detail == (
+        "byte-identical files: ['metadata.txt'] :: files differ: ['summary.csv']"
+    )
+
+
 def test_criterion_09_reliability():
     _check(acceptance.criterion_9_reliability())
+
+
+def test_criterion_09_catches_wrong_sign_in_exponent(monkeypatch):
+    # exp(-exp(c)) agrees at c = 0 but falls where f should rise
+    monkeypatch.setattr(metrics, "gossip_reliability", lambda c: math.exp(-math.exp(c)))
+    result = acceptance.criterion_9_reliability()
+    assert not result.passed
+    assert result.detail == (
+        "f(0)=0.367879441, f(3)=0.000000, strictly increasing checked on [-5, 15] :: "
+        "f(3) = 1.8921786948382924e-09, want 0.951431; f does not rise strictly on [-5, 15]"
+    )
 
 
 def test_criterion_10_convergence_shape():
