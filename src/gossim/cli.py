@@ -102,7 +102,8 @@ def _cmd_compare(args) -> int:
         )
     ]
     if tokens_list and not any(cfg.token_control for _, cfg in cells):
-        raise ConfigError(f"--tokens-list is not used: {', '.join(names)} spend no tokens")
+        verb = "spends" if len(names) == 1 else "spend"
+        raise ConfigError(f"--tokens-list is not used: {', '.join(names)} {verb} no tokens")
     labels = [label for label, _ in cells]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:

@@ -1,9 +1,11 @@
-"""Release acceptance gate: one test per criterion.
+"""Release acceptance gate: each criterion's own check, and the tests
+that show it can fail.
 
-These are end-to-end statistical checks and together take a few
-minutes.  Each test prints its own pass/fail line (run pytest with -s
-or check the failure output).  The `gossim validate` subcommand runs
-the same suite.
+The criteria are end-to-end statistical checks and together take a few
+minutes.  Each prints its own pass/fail line (run pytest with -s or
+check the failure output).  The `gossim validate` subcommand runs the
+same suite.  The `catches` tests feed a criterion hand-built records, a
+mutant or a stub, and assert its failing detail.
 """
 
 import math
@@ -19,23 +21,28 @@ def _check(result):
     assert result.passed, str(result)
 
 
+def _record(cfg, seed, t=100, sends=1):
+    """A hand-built run of `cfg`: all 10 nodes adopt the update at `t` ms
+    and node 0 sends `sends` copies of it."""
+    return metrics.RunRecord(
+        n_nodes=10, duration_ms=1000, seed=seed, protocol=cfg.name,
+        tokens=cfg.initial_tokens if cfg.token_control else None,
+        workload_fingerprint=str(seed), injected_version=1,
+        update_events=[(t, node, 1) for node in range(10)],
+        software_sends={0: {1: sends}},
+    )
+
+
 def _fake_batch(monkeypatch, t90=None, sends=None):
     """Serve hand-built records as the desk batch of every scenario, so no
-    simulation runs.  Each cell of the grid, on each desk seed, has all 10
-    nodes adopt the update at `t90[cfg]` ms (default 100) and node 0 send
-    `sends[cfg]` copies of it (default 1).  Returns the batch to edit."""
+    simulation runs.  Each cell of the grid, on each desk seed, is
+    `_record` with `t90[cfg]` and `sends[cfg]` (default 100 ms and 1
+    copy).  Returns the batch to edit."""
     t90, sends = t90 or {}, sends or {}
-
-    def record(cfg, seed):
-        return metrics.RunRecord(
-            n_nodes=10, duration_ms=1000, seed=seed, protocol=cfg.name,
-            tokens=cfg.initial_tokens if cfg.token_control else None,
-            workload_fingerprint=str(seed), injected_version=1,
-            update_events=[(t90.get(cfg, 100), node, 1) for node in range(10)],
-            software_sends={0: {1: sends.get(cfg, 1)}},
-        )
-
-    batch = {(cfg, s): record(cfg, s) for s in acceptance.DESK_SEEDS for cfg in acceptance.CELLS}
+    batch = {
+        (cfg, s): _record(cfg, s, t90.get(cfg, 100), sends.get(cfg, 1))
+        for s in acceptance.DESK_SEEDS for cfg in acceptance.CELLS
+    }
     monkeypatch.setattr(acceptance, "_batch", lambda scenario: batch)
     return batch
 
@@ -157,6 +164,45 @@ def test_criterion_07_fp_load_law():
     _check(acceptance.criterion_7_fp_load_law())
 
 
+def _fake_c1_runs(monkeypatch, factor):
+    """Serve criterion 7's c1 runs without simulating: each fp run sends
+    100 copies over 10 s and `factor` x 100 over 20 s."""
+    def run_grid(spec, cells, seeds):
+        sends = 100 if spec.engine.duration == 10_000 else factor * 100
+        return {(cfg, s): _record(cfg, s, sends=sends) for s in seeds for cfg in cells}
+
+    monkeypatch.setattr(acceptance.engine, "run_grid", run_grid)
+
+
+def test_criterion_07_catches_sends_that_are_not_receptions(monkeypatch):
+    # flooding sends once per received beacon, except on seeds 103 and 107
+    batch = _fake_batch(monkeypatch)
+    for s in acceptance.DESK_SEEDS:
+        batch[(acceptance.FP, s)].beacon_receptions = 0 if s in (103, 107) else 1
+    _fake_c1_runs(monkeypatch, factor=2)
+    result = acceptance.criterion_7_fp_load_law()
+    assert not result.passed
+    assert result.detail == (
+        "sends==beacon receptions checked on 10 runs; "
+        "doubling duration takes sends 300 -> 600 (x2.000) :: "
+        "seed 103: sends != beacon receptions; seed 107: sends != beacon receptions"
+    )
+
+
+def test_criterion_07_catches_sends_that_triple(monkeypatch):
+    batch = _fake_batch(monkeypatch)
+    for s in acceptance.DESK_SEEDS:
+        batch[(acceptance.FP, s)].beacon_receptions = 1
+    _fake_c1_runs(monkeypatch, factor=3)
+    result = acceptance.criterion_7_fp_load_law()
+    assert not result.passed
+    assert result.detail == (
+        "sends==beacon receptions checked on 10 runs; "
+        "doubling duration takes sends 300 -> 900 (x3.000) :: "
+        "x3.000 not within 2.0 +/- 10%"
+    )
+
+
 def test_criterion_08_determinism():
     _check(acceptance.criterion_8_determinism())
 
@@ -203,3 +249,32 @@ def test_criterion_09_catches_wrong_sign_in_exponent(monkeypatch):
 
 def test_criterion_10_convergence_shape():
     _check(acceptance.criterion_10_convergence_shape())
+
+
+def test_criterion_10_catches_a_node_flooding_missed(monkeypatch):
+    # the dense run loses its last adoption, so one node never holds the update
+    run = engine.run
+
+    def drop_last_adoption(spec):
+        rec = run(spec)
+        if spec.name == "dense-connected":
+            del rec.update_events[-1]
+        return rec
+
+    monkeypatch.setattr(acceptance.engine, "run", drop_last_adoption)
+    result = acceptance.criterion_10_convergence_shape()
+    assert not result.passed
+    assert result.detail == (
+        "fp coverage checked on connected scenarios: ['dense-connected', 'trace'] :: "
+        "dense-connected: fp reached 59/60"
+    )
+
+
+def test_criterion_10_catches_a_rejected_dense_layout(monkeypatch):
+    monkeypatch.setattr(acceptance, "_eventually_connected", lambda spec, injected: False)
+    result = acceptance.criterion_10_convergence_shape()
+    assert not result.passed
+    assert result.detail == (
+        "fp coverage checked on connected scenarios: ['trace'] :: "
+        "connectivity oracle rejected the dense scenario"
+    )

@@ -156,9 +156,11 @@ class TestConfigErrors:
           "--tokens is not used: fp spends no tokens"),
          (["run", "--protocol", "pbp", "--tokens", "0"],
           "--tokens is not used: pbp spends no tokens"),
+         (["compare", "--protocols", "fp", "--tokens-list", "5"],
+          "--tokens-list is not used: fp spends no tokens"),
          (["compare", "--protocols", "fp,pbp", "--tokens-list", "5"],
           "--tokens-list is not used: fp, pbp spend no tokens")],
-        ids=["run-fp", "run-pbp", "compare-fp-pbp"],
+        ids=["run-fp", "run-pbp", "compare-fp", "compare-fp-pbp"],
     )
     def test_budget_no_protocol_spends_writes_nothing(self, tiny_cfg, tmp_path, capsys,
                                                       args, message):

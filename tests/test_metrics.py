@@ -2,6 +2,8 @@ import csv
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossim.metrics import (
     RunRecord,
@@ -51,6 +53,26 @@ class TestConvergenceSeries:
     def test_injected_version_allowed_even_if_unseen(self):
         rec = record(update_events=[])
         assert convergence_series(rec, 1) == [(0, 0), (1000, 0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_counts_distinct_holders_of_any_events(self, data):
+        # adoptions from 1 ms on: one at 0 ms would share the opening instant
+        duration = data.draw(st.integers(1, 2000), label="duration")
+        version = data.draw(st.integers(0, 4), label="version")
+        events = sorted(
+            data.draw(st.lists(st.tuples(st.integers(1, duration), st.integers(0, 9),
+                                         st.integers(0, 5)), max_size=40), label="events"),
+            key=lambda e: e[0],
+        )
+        rec = record(n_nodes=10, duration_ms=duration, injected_version=version,
+                     update_events=events)
+        series = convergence_series(rec, version)
+        assert series[0] == (0, 0)
+        assert series[-1][0] == duration
+        assert all(t < u for (t, _), (u, _) in zip(series, series[1:]))
+        assert all(a <= b for (_, a), (_, b) in zip(series, series[1:]))
+        assert series[-1][1] == len({node for _, node, v in events if v >= version})
 
 
 class TestTimeToFraction:
